@@ -266,8 +266,9 @@ func BenchmarkHotspotDetection(b *testing.B) {
 // counts. Workers=1 is the sequential baseline; parallel builds produce
 // byte-identical output (core's determinism test), so the sub-benchmark
 // times are directly comparable. On a single-CPU host all worker counts
-// collapse to sequential throughput; scripts/bench.sh records the CPU
-// count alongside the timings for that reason.
+// collapse to sequential throughput. The end-to-end training figures
+// (dataset build plus fit, with the CPU count) come from
+// `bash perfbench/run.sh` (workload train).
 func BenchmarkBuildDataset(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -287,9 +288,8 @@ func BenchmarkBuildDataset(b *testing.B) {
 // live observer (tracer + metrics registry) attached — the worst-case
 // observation cost, since every flow stage, module cell and cache lookup
 // records spans and metrics. The ratio to the unobserved workers=2 time is
-// the enabled-observer overhead; scripts/bench.sh records both and asserts
-// the *disabled* path (plain BenchmarkBuildDataset, nil observer) stays
-// within 2% of the seed.
+// the enabled-observer overhead; the disabled path (plain
+// BenchmarkBuildDataset, nil observer) is the baseline it compares to.
 func BenchmarkBuildDatasetObserved(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		mods := TrainingModules()

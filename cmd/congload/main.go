@@ -36,7 +36,8 @@
 //	-probe FILE       send one request built from the fixed seed, write
 //	                  the raw response bytes to FILE and exit — lets
 //	                  scripts diff responses across server configurations
-//	                  (byte-identity of sharded vs single-shard serving)
+//	                  (byte-identity across lane counts: a congserve under
+//	                  GOMAXPROCS=1 runs one lane)
 //
 // The report: {"mode", "requests", "errors", "shed", "preds",
 // "duration_sec", "preds_per_sec", "requests_per_sec", "p50_us",

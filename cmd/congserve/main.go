@@ -22,10 +22,8 @@
 //	                    negative = never wait)
 //	-max-batch N        row cap of one coalesced batch (default 256)
 //	-max-inflight N     admission cap; excess requests get 429 (default
-//	                    4×GOMAXPROCS, rounded up to a multiple of -shards)
-//	-shards N           independent batcher lanes; requests are routed by
-//	                    affinity so lanes share nothing on the hot path
-//	                    (default GOMAXPROCS)
+//	                    4×GOMAXPROCS, rounded up to a multiple of the
+//	                    lane count)
 //	-log-level LEVEL    debug, info, warn or error (default info)
 //
 // Observability flags:
@@ -49,6 +47,9 @@
 //	-seed N             base placement seed
 //	-kind MODEL         linear, ann or gbrt (default gbrt)
 //
+// The server runs one independent batcher lane per GOMAXPROCS; set the
+// GOMAXPROCS environment variable to change the lane count.
+//
 // Signals: SIGHUP hot-reloads the model artifact from disk (also POST
 // /reload); SIGINT/SIGTERM drain gracefully — in-flight requests finish,
 // then the process exits 0.
@@ -63,6 +64,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -87,7 +89,6 @@ func realMain() int {
 	window := flag.Duration("window", 200*time.Microsecond, "coalescing window (negative = never wait)")
 	maxBatch := flag.Int("max-batch", 256, "row cap of one coalesced batch")
 	maxInflight := flag.Int("max-inflight", 0, "admission cap (0 = 4×GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "batcher lanes (0 = GOMAXPROCS)")
 	logLevel := flag.String("log-level", "info", "debug, info, warn or error")
 	traceFile := flag.String("trace", "", "write a Chrome trace here on exit and on SIGHUP")
 	metricsFile := flag.String("metrics", "", "write a JSON metrics snapshot here on exit and on SIGHUP")
@@ -135,7 +136,6 @@ func realMain() int {
 		MaxBatch:    *maxBatch,
 		Window:      *window,
 		MaxInflight: *maxInflight,
-		Shards:      *shards,
 		Obs:         o,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "congserve:", err)
@@ -293,7 +293,7 @@ func run(o *obs.Observer, addr, addrFile, debugAddr, model string, oc obsConfig,
 			return fmt.Errorf("writing -addr-file: %w", err)
 		}
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := obs.NewHTTPServer(s.Handler())
 
 	var debugSrv *http.Server
 	if debugAddr != "" {
@@ -302,7 +302,7 @@ func run(o *obs.Observer, addr, addrFile, debugAddr, model string, oc obsConfig,
 			ln.Close()
 			return fmt.Errorf("debug listener: %w", err)
 		}
-		debugSrv = &http.Server{Handler: o.Handler()}
+		debugSrv = obs.NewHTTPServer(o.Handler())
 		go debugSrv.Serve(dln)
 		if l := o.Logger(); l != nil {
 			l.Info("debug listener up", "addr", dln.Addr().String())
@@ -313,7 +313,7 @@ func run(o *obs.Observer, addr, addrFile, debugAddr, model string, oc obsConfig,
 		l.Info("congserve up", "addr", bound, "model", model,
 			"generation", m.Generation, "kind", m.Pred.Kind.String(),
 			"window", s.Options().Window.String(), "max_batch", s.Options().MaxBatch,
-			"max_inflight", s.Options().MaxInflight, "shards", s.Options().Shards)
+			"max_inflight", s.Options().MaxInflight, "shards", runtime.GOMAXPROCS(0))
 	}
 
 	sigs := make(chan os.Signal, 1)

@@ -185,7 +185,7 @@ func (c *Coordinator) Serve(addr string) (bound string, shutdown func(), err err
 	if err != nil {
 		return "", nil, fmt.Errorf("fleet: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: c.Handler()}
+	srv := obs.NewHTTPServer(c.Handler())
 	go srv.Serve(ln)
 	return ln.Addr().String(), func() { srv.Close() }, nil
 }

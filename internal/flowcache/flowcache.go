@@ -85,13 +85,9 @@ type Cache struct {
 	disk *store.Store
 
 	// Observation handles (nil when unobserved): registry counters
-	// mirroring the internal counters, and an eviction event sink. Hits
-	// and misses fire on every Get from arbitrary worker goroutines, so
-	// they are striped (per-goroutine hint picks the stripe) and merge
-	// back to one series at Snapshot; evictions are rare and stay plain.
-	obsHits, obsMisses *obs.StripedCounter
-	obsEvictions       *obs.Counter
-	obsrv              *obs.Observer
+	// mirroring the internal counters, and an eviction event sink.
+	obsHits, obsMisses, obsEvictions *obs.Counter
+	obsrv                            *obs.Observer
 }
 
 type entry struct {
@@ -145,8 +141,8 @@ func (c *Cache) SetObserver(o *obs.Observer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.obsrv = o
-	c.obsHits = o.Metrics().StripedCounter(obs.MetricCacheHits, obs.DefaultStripes())
-	c.obsMisses = o.Metrics().StripedCounter(obs.MetricCacheMisses, obs.DefaultStripes())
+	c.obsHits = o.Metrics().Counter(obs.MetricCacheHits)
+	c.obsMisses = o.Metrics().Counter(obs.MetricCacheMisses)
 	c.obsEvictions = o.Metrics().Counter(obs.MetricCacheEvictions)
 	c.disk.SetObserver(o)
 }

@@ -2,8 +2,7 @@ package ann
 
 // Old-vs-new benchmarks for the ANN fast path: the *Ref benchmarks drive
 // the frozen per-sample reference from equiv_test.go, the others the
-// batched loop-interchanged kernels. scripts/bench.sh pairs them up in
-// BENCH_PR4.json.
+// batched loop-interchanged kernels; BENCH_PR4.json records the pairs.
 
 import (
 	"testing"

@@ -4,7 +4,7 @@ package gbrt
 // the frozen reference implementation from equiv_test.go (row-major
 // binning per fit, pointer nodes, per-node full histogram scans, per-cell
 // Take copies in the grid search); their non-Ref counterparts drive the
-// shipped fast path. scripts/bench.sh pairs them up in BENCH_PR4.json.
+// shipped fast path; BENCH_PR4.json records the pairs.
 
 import (
 	"math/rand"

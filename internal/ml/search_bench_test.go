@@ -42,7 +42,7 @@ func (m *slowModel) Predict(x []float64) float64 {
 
 // BenchmarkGridSearchCV measures the (candidate × fold) grid evaluated
 // sequentially vs on the worker pool. Workers sub-benchmark names carry
-// the pool size so bench.sh can diff them.
+// the pool size so the two can be compared side by side.
 func BenchmarkGridSearchCV(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	const n, d = 400, 24

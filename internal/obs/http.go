@@ -4,7 +4,25 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"time"
 )
+
+// Timeouts of every HTTP listener in the repo (the debug endpoint, the
+// serving daemon and the fleet coordinator). ReadHeaderTimeout bounds how
+// long a connection may take to deliver its request headers, so a client
+// that trickles half a header line (slowloris) cannot hold a goroutine and
+// a descriptor forever; IdleTimeout closes keep-alive connections that
+// stop sending requests. There is deliberately no WriteTimeout: debug
+// profiles and fleet leases legitimately take long to answer.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server for h with the shared timeouts.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 // Handler returns the observer's debug endpoint, in the spirit of
 // expvar's /debug/vars:
@@ -76,7 +94,6 @@ func (o *Observer) Serve(addr string) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("obs: debug endpoint: %w", err)
 	}
-	srv := &http.Server{Handler: o.Handler()}
-	go srv.Serve(ln)
+	go NewHTTPServer(o.Handler()).Serve(ln)
 	return ln.Addr().String(), nil
 }

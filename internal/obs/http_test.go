@@ -3,10 +3,12 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestDebugHandler(t *testing.T) {
@@ -65,5 +67,33 @@ func TestDebugHandler(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("unknown path returned %d", resp.StatusCode)
 		}
+	}
+}
+
+// TestSlowHeaderClientDisconnected is the slowloris guard: a client that
+// sends half a request header line and then stalls must be disconnected
+// once readHeaderTimeout passes, not held open indefinitely.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	t.Parallel()
+	addr, err := New().Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /debug/vars HTTP/1.1\r\nHo"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	limit := readHeaderTimeout + 3*time.Second
+	conn.SetReadDeadline(start.Add(limit))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled half-header connection still open after %v: %v", limit, err)
+	}
+	if d := time.Since(start); d < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v header timeout could fire", d, readHeaderTimeout)
 	}
 }

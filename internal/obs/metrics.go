@@ -51,8 +51,8 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a last-write-wins float value. All methods are atomic and
-// nil-safe.
+// Gauge is a float value that can go up and down: Set overwrites it, Add
+// moves it by a delta. All methods are atomic and nil-safe.
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
@@ -61,6 +61,16 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.bits.Store(math.Float64bits(v))
+}
+
+// Add moves the gauge by d. Concurrent Adds never lose an update, so a
+// gauge fed matching +1/-1 pairs (an in-flight count) returns to exactly
+// its starting value once every pair has completed.
+func (g *Gauge) Add(d float64) {
+	if g == nil {
+		return
+	}
+	addFloat(&g.bits, d)
 }
 
 // Value returns the last stored value.
@@ -146,25 +156,14 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-
-	// Striped variants (see striped.go). A name is registered as either
-	// plain or striped, never both; Snapshot merges each striped metric
-	// into a single series under its name, so readers can't tell which
-	// representation a writer chose.
-	stripedCounters map[string]*StripedCounter
-	stripedGauges   map[string]*StripedGauge
-	stripedHists    map[string]*StripedHistogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:        make(map[string]*Counter),
-		gauges:          make(map[string]*Gauge),
-		hists:           make(map[string]*Histogram),
-		stripedCounters: make(map[string]*StripedCounter),
-		stripedGauges:   make(map[string]*StripedGauge),
-		stripedHists:    make(map[string]*StripedHistogram),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -307,31 +306,13 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.hists {
 		hists[k] = v
 	}
-	stripedCounters := make(map[string]*StripedCounter, len(r.stripedCounters))
-	for k, v := range r.stripedCounters {
-		stripedCounters[k] = v
-	}
-	stripedGauges := make(map[string]*StripedGauge, len(r.stripedGauges))
-	for k, v := range r.stripedGauges {
-		stripedGauges[k] = v
-	}
-	stripedHists := make(map[string]*StripedHistogram, len(r.stripedHists))
-	for k, v := range r.stripedHists {
-		stripedHists[k] = v
-	}
 	r.mu.Unlock()
 
 	for name, c := range counters {
 		snap.Counters = append(snap.Counters, CounterSnap{Name: name, Value: c.Value()})
 	}
-	for name, c := range stripedCounters {
-		snap.Counters = append(snap.Counters, CounterSnap{Name: name, Value: c.Value()})
-	}
 	sort.Slice(snap.Counters, func(i, j int) bool { return snap.Counters[i].Name < snap.Counters[j].Name })
 	for name, g := range gauges {
-		snap.Gauges = append(snap.Gauges, GaugeSnap{Name: name, Value: g.Value()})
-	}
-	for name, g := range stripedGauges {
 		snap.Gauges = append(snap.Gauges, GaugeSnap{Name: name, Value: g.Value()})
 	}
 	sort.Slice(snap.Gauges, func(i, j int) bool { return snap.Gauges[i].Name < snap.Gauges[j].Name })
@@ -354,9 +335,6 @@ func (r *Registry) Snapshot() Snapshot {
 			hs.Buckets = append(hs.Buckets, BucketSnap{UpperBound: ub, Count: h.buckets[i].Load()})
 		}
 		snap.Histograms = append(snap.Histograms, hs)
-	}
-	for name, h := range stripedHists {
-		snap.Histograms = append(snap.Histograms, h.merged(name))
 	}
 	sort.Slice(snap.Histograms, func(i, j int) bool { return snap.Histograms[i].Name < snap.Histograms[j].Name })
 	return snap

@@ -61,12 +61,8 @@ const (
 	// candidates per second.
 	MetricGridCandidatesPerSec = "ml.grid.candidates_per_sec"
 
-	// The serve.* request-path series (requests, shed, errors,
-	// predictions, batches, batch_rows, latency_us, inflight) are striped:
-	// each serving shard writes its own cache-line-padded stripe and
-	// Snapshot merges them back under these names (counters/histograms by
-	// sum, serve.inflight as a sum-merged gauge). Readers see one series
-	// per name either way. flowcache.hits/misses are striped the same way.
+	// The serve.* series are server-wide: every serving lane writes the
+	// same registry handles.
 	//
 	// MetricServeRequests counts /predict requests admitted past the
 	// inflight gate; MetricServeShed those rejected by it (HTTP 429);
@@ -89,7 +85,9 @@ const (
 	// microseconds (LatencyMicrosBuckets), measured decode-to-encode
 	// around the coalescing wait.
 	MetricServeLatencyUs = "serve.latency_us"
-	// MetricServeInflight is the number of requests currently admitted.
+	// MetricServeInflight is the number of requests currently admitted
+	// across all lanes: raised on admission, lowered on release, so an
+	// idle server reads 0.
 	MetricServeInflight = "serve.inflight"
 	// MetricServeReloads counts model hot-reloads that swapped a new
 	// artifact in; MetricServeReloadErrors reload attempts rejected with

@@ -44,6 +44,7 @@ func TestNilSafety(t *testing.T) {
 	var r *Registry
 	r.Counter("c").Add(1)
 	r.Gauge("g").Set(1)
+	r.Gauge("g").Add(1)
 	r.Histogram("h", DefaultDurationBuckets).Observe(1)
 	if snap := r.Snapshot(); len(snap.Counters) != 0 {
 		t.Error("nil registry snapshot non-empty")
@@ -177,7 +178,9 @@ func TestRegistryConcurrency(t *testing.T) {
 		for i := 0; i < perWorker; i++ {
 			r.Counter("ops").Add(1)
 			r.Gauge("last").Set(float64(w))
+			r.Gauge("level").Add(1)
 			r.Histogram("ms", DefaultDurationBuckets).Observe(float64(i % 100))
+			r.Gauge("level").Add(-1)
 		}
 	})
 	if err != nil {
@@ -189,6 +192,9 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if h := snap.Histogram("ms"); h == nil || h.Count != workers*perWorker {
 		t.Errorf("histogram count wrong: %+v", h)
+	}
+	if v, _ := snap.Gauge("level"); v != 0 {
+		t.Errorf("balanced gauge Adds left %v, want 0", v)
 	}
 }
 

@@ -36,7 +36,7 @@ func TestServeBytesZeroAllocSharded(t *testing.T) {
 	// The sharded admission path — affinity hint, per-shard semaphore,
 	// per-shard batcher — must stay allocation-free too: the zero-alloc
 	// guarantee survives scale-out.
-	s := newTestServer(t, Options{Window: -1, Shards: 4})
+	s := newTestServer(t, Options{Window: -1, shards: 4})
 	req := binaryRequest(randRows(32, 41))
 	var dst []byte
 	requireZeroAllocs(t, "ServeBytes/sharded", func() {
@@ -80,7 +80,7 @@ func TestServeBytesZeroAllocWindowed(t *testing.T) {
 	// admission slot keeps allQueued false so the batcher actually waits
 	// out the window instead of early-flushing (one shard, so the
 	// phantom and the requests share a lane).
-	s := newTestServer(t, Options{Window: 20 * time.Microsecond, Shards: 1})
+	s := newTestServer(t, Options{Window: 20 * time.Microsecond, shards: 1})
 	s.shards[0].sem <- struct{}{}
 	defer func() { <-s.shards[0].sem }()
 	req := binaryRequest(randRows(8, 29))
@@ -102,7 +102,7 @@ func TestServeBytesZeroAllocWithRecorder(t *testing.T) {
 	// around the measurement, not concurrently, because AllocsPerRun counts
 	// mallocs process-wide and a background sampler would pollute it.
 	o := obs.New()
-	s := newTestServer(t, Options{Window: -1, Shards: 2, Obs: o})
+	s := newTestServer(t, Options{Window: -1, shards: 2, Obs: o})
 	rec := obs.NewRecorder(o.Metrics(), obs.RecorderOptions{Capacity: 16})
 	o.Rec = rec
 	req := binaryRequest(randRows(32, 53))
@@ -132,7 +132,7 @@ func TestShedPathZeroAlloc(t *testing.T) {
 	// Rejections must be even cheaper than service: the 429 path cannot
 	// allocate, or overload would cause collection pressure exactly when
 	// the server can least afford it.
-	s := newTestServer(t, Options{Window: -1, Shards: 1, MaxInflight: 1})
+	s := newTestServer(t, Options{Window: -1, shards: 1, MaxInflight: 1})
 	s.shards[0].sem <- struct{}{} // the one slot is taken: everything else sheds
 	defer func() { <-s.shards[0].sem }()
 	req := binaryRequest(randRows(1, 37))

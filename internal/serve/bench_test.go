@@ -2,8 +2,8 @@ package serve
 
 // Serving-path benchmarks. BenchmarkServePredict* drive ServeBytes — the
 // exact hot path behind POST /predict, minus net/http — and report
-// preds/sec so scripts/bench.sh can derive the throughput figure for
-// BENCH_PR7.json. Run with GOMAXPROCS=1 to measure the single-core claim.
+// preds/sec. Run with GOMAXPROCS=1 to measure the single-core claim; the
+// end-to-end serving figures come from `bash perfbench/run.sh`.
 
 import (
 	"context"
@@ -78,7 +78,7 @@ func BenchmarkServePredictJSON64(b *testing.B)    { benchServeBytes(b, 64, false
 // requests. RunParallel spreads clients over GOMAXPROCS; with
 // GOMAXPROCS=1 this is the single-core serving figure.
 func BenchmarkServeCoalesced(b *testing.B) {
-	s := benchServer(b, Options{Window: 50 * time.Microsecond, Shards: 1})
+	s := benchServer(b, Options{Window: 50 * time.Microsecond, shards: 1})
 	const rows = 32
 	req := binaryRequest(randRows(rows, 3))
 	b.ReportAllocs()
@@ -100,12 +100,12 @@ func BenchmarkServeCoalesced(b *testing.B) {
 }
 
 // BenchmarkServeCoalescedSharded is the multi-core pipeline: one batcher
-// lane per GOMAXPROCS, requests routed by affinity hint, striped metrics.
-// Compare with BenchmarkServeCoalesced at the same GOMAXPROCS for the
-// scale-out gain; scripts/bench.sh sweeps GOMAXPROCS over both to record
-// the throughput-vs-cores curve in BENCH_PR9.json.
+// lane per GOMAXPROCS, requests routed by affinity hint. Compare with
+// BenchmarkServeCoalesced at the same GOMAXPROCS for the scale-out gain;
+// the end-to-end serving figures come from `bash perfbench/run.sh`
+// (workload serve-http).
 func BenchmarkServeCoalescedSharded(b *testing.B) {
-	s := benchServer(b, Options{Window: 50 * time.Microsecond, Shards: 0}) // 0 → GOMAXPROCS lanes
+	s := benchServer(b, Options{Window: 50 * time.Microsecond, shards: 0}) // 0 → GOMAXPROCS lanes
 	const rows = 32
 	req := binaryRequest(randRows(rows, 3))
 	b.ReportAllocs()

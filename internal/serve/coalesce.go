@@ -174,9 +174,10 @@ func (sh *shard) flush(pending []*job, rows [][]float64, vert, horiz, avg []floa
 	for _, j := range pending {
 		total += j.m.Rows
 	}
-	sh.met.batches.Inc()
-	sh.met.batchRows.Observe(float64(total))
-	sh.srv.occupancy.Set(float64(total) / float64(sh.srv.opts.MaxBatch))
+	met := &sh.srv.met
+	met.batches.Inc()
+	met.batchRows.Observe(float64(total))
+	met.occupancy.Set(float64(total) / float64(sh.srv.opts.MaxBatch))
 	mdl := sh.srv.models.Load()
 	if mdl == nil {
 		for _, j := range pending {
@@ -189,7 +190,7 @@ func (sh *shard) flush(pending []*job, rows [][]float64, vert, horiz, avg []floa
 		j := pending[0]
 		j.err = predictGuarded(mdl.Pred, j.vert, j.horiz, j.avg, j.rows)
 		if j.err == nil {
-			sh.met.predictions.Add(int64(total))
+			met.predictions.Add(int64(total))
 		}
 		j.done <- struct{}{}
 		return rows, vert, horiz, avg
@@ -219,7 +220,7 @@ func (sh *shard) flush(pending []*job, rows [][]float64, vert, horiz, avg []floa
 		j.done <- struct{}{}
 	}
 	if err == nil {
-		sh.met.predictions.Add(int64(total))
+		met.predictions.Add(int64(total))
 	}
 	return rows, vert, horiz, avg
 }

@@ -18,15 +18,15 @@
 //     admitted request is already in the batch (the admission semaphore
 //     proves no companion can arrive), so closed-loop clients never pay
 //     the window — only genuinely concurrent traffic does.
-//   - Multi-core scale-out: the server runs Options.Shards independent
-//     batcher shards (default GOMAXPROCS), each owning its own admission
+//   - Multi-core scale-out: the server runs one independent batcher
+//     shard (lane) per GOMAXPROCS, each owning its own admission
 //     semaphore, submit queue, window timer and batch scratch. Requests
 //     route to a shard by a pooled affinity hint with a round-robin
-//     fallback under load, so the hot path shares no lock, channel or
-//     cache line between shards — throughput scales with cores instead
-//     of serializing on one batcher goroutine. Predictions are
-//     byte-identical across shard counts: sharding changes which rows
-//     share a PredictBatchInto call, never what a row scores.
+//     fallback under load, so each core's batcher runs its own
+//     PredictBatchInto instead of serializing on one batcher goroutine.
+//     Predictions are byte-identical across shard counts: sharding
+//     changes which rows share a PredictBatchInto call, never what a row
+//     scores.
 //   - Admission control: a max-inflight semaphore per shard sheds excess
 //     load with a fast 429 instead of queueing without bound; a request
 //     is shed only when every shard is saturated.
@@ -40,14 +40,12 @@
 //     proves no request is between admission and submit there, after
 //     which its batcher flushes its last window and exits.
 //
-// Every stage reports into the internal/obs registry. The request-path
-// series (request/shed/error/prediction counters, latency and batch-rows
-// histograms, the inflight gauge) are striped per shard onto separate
-// cache lines and merged at Snapshot, so enabling metrics does not
-// re-serialize the cores the sharding just separated.
+// Every stage reports into the internal/obs registry through one set of
+// server-wide handles that all shards share.
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -83,20 +81,20 @@ type Options struct {
 	// negative value means "never wait" — a batch still coalesces
 	// whatever is already queued, but closes immediately.
 	Window time.Duration
-	// Shards is the number of independent batcher shards (default
-	// GOMAXPROCS). Each shard owns its own admission slots, submit queue,
-	// window timer and batch scratch; coalescing happens within a shard.
-	Shards int
 	// MaxInflight is the total admission cap across all shards: requests
 	// beyond it are shed with 429 (default 4×GOMAXPROCS, min 16). It is
-	// rounded up to a multiple of Shards so every shard gets the same
-	// slot count — the per-shard semaphore is what keeps the allQueued
-	// early-flush proof local to a shard.
+	// rounded up to a multiple of the shard count so every shard gets the
+	// same slot count — the per-shard semaphore is what keeps the
+	// allQueued early-flush proof local to a shard.
 	MaxInflight int
 	// MaxBodyBytes bounds one request body (default 16 MiB).
 	MaxBodyBytes int64
 	// Obs receives request metrics; nil disables observation.
 	Obs *obs.Observer
+
+	// shards is the number of independent batcher shards. Production
+	// always runs one per GOMAXPROCS; only in-package tests pin it.
+	shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -109,11 +107,8 @@ func (o Options) withDefaults() Options {
 	if o.Window < 0 {
 		o.Window = 0
 	}
-	if o.Shards <= 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-		if o.Shards < 1 {
-			o.Shards = 1
-		}
+	if o.shards <= 0 {
+		o.shards = runtime.GOMAXPROCS(0)
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 4 * runtime.GOMAXPROCS(0)
@@ -122,45 +117,45 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	// Round the cap up to a whole number of slots per shard.
-	perShard := (o.MaxInflight + o.Shards - 1) / o.Shards
-	o.MaxInflight = perShard * o.Shards
+	perShard := (o.MaxInflight + o.shards - 1) / o.shards
+	o.MaxInflight = perShard * o.shards
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 16 << 20
 	}
 	return o
 }
 
-// shardMetrics holds one shard's resolved metric handles. The request-path
-// series are that shard's stripes of the registry's striped metrics —
-// resolved once at construction, so the hot path pays exactly one
-// un-contended atomic per event — and every field no-ops when observation
-// is off.
-type shardMetrics struct {
+// metrics holds the server's resolved registry handles, shared by every
+// shard. Resolved once at construction, so the hot path pays one atomic
+// per event; every field no-ops when observation is off.
+type metrics struct {
 	requests, shed, errs *obs.Counter
 	predictions, batches *obs.Counter
+	reloads, reloadErrs  *obs.Counter
 	batchRows, latency   *obs.Histogram
-	inflight             *obs.Gauge
+	inflight, occupancy  *obs.Gauge
 }
 
-func newShardMetrics(o *obs.Observer, shard, shards int) shardMetrics {
+func newMetrics(o *obs.Observer) metrics {
 	r := o.Metrics()
-	return shardMetrics{
-		requests:    r.StripedCounter(obs.MetricServeRequests, shards).Stripe(shard),
-		shed:        r.StripedCounter(obs.MetricServeShed, shards).Stripe(shard),
-		errs:        r.StripedCounter(obs.MetricServeErrors, shards).Stripe(shard),
-		predictions: r.StripedCounter(obs.MetricServePredictions, shards).Stripe(shard),
-		batches:     r.StripedCounter(obs.MetricServeBatches, shards).Stripe(shard),
-		batchRows:   r.StripedHistogram(obs.MetricServeBatchRows, obs.BatchRowsBuckets, shards).Stripe(shard),
-		latency:     r.StripedHistogram(obs.MetricServeLatencyUs, obs.LatencyMicrosBuckets, shards).Stripe(shard),
-		inflight:    r.StripedGauge(obs.MetricServeInflight, shards).Stripe(shard),
+	return metrics{
+		requests:    r.Counter(obs.MetricServeRequests),
+		shed:        r.Counter(obs.MetricServeShed),
+		errs:        r.Counter(obs.MetricServeErrors),
+		predictions: r.Counter(obs.MetricServePredictions),
+		batches:     r.Counter(obs.MetricServeBatches),
+		reloads:     r.Counter(obs.MetricServeReloads),
+		reloadErrs:  r.Counter(obs.MetricServeReloadErrors),
+		batchRows:   r.Histogram(obs.MetricServeBatchRows, obs.BatchRowsBuckets),
+		latency:     r.Histogram(obs.MetricServeLatencyUs, obs.LatencyMicrosBuckets),
+		inflight:    r.Gauge(obs.MetricServeInflight),
+		occupancy:   r.Gauge(obs.MetricServeBatchOccupancy),
 	}
 }
 
 // shard is one independent coalescing lane: its own admission semaphore,
-// submit queue, batcher goroutine and metric stripes. Nothing on a
-// shard's request path touches another shard's state.
+// submit queue and batcher goroutine.
 type shard struct {
-	idx int
 	srv *Server
 	// sem is this shard's slice of the admission cap: one slot per
 	// in-flight request routed here. A request holds its slot from
@@ -171,7 +166,6 @@ type shard struct {
 	sem    chan struct{}
 	submit chan *job
 	done   chan struct{}
-	met    shardMetrics
 }
 
 // Server is the prediction service core. Construct with New, publish a
@@ -183,11 +177,9 @@ type Server struct {
 	models    modelSlot
 	modelPath atomic.Pointer[string]
 
-	// shards are the independent batcher lanes; see Options.Shards.
+	// shards are the independent batcher lanes; see Options.shards.
 	shards []*shard
-	// reload/occupancy handles are off the request path and stay plain.
-	reloads, reloadErrs *obs.Counter
-	occupancy           *obs.Gauge
+	met    metrics
 
 	draining atomic.Bool
 	stopOnce sync.Once
@@ -198,23 +190,15 @@ type Server struct {
 // model loaded (requests answer 503 until LoadModel succeeds).
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
-	s := &Server{
-		opts:       opts,
-		obs:        opts.Obs,
-		reloads:    opts.Obs.Metrics().Counter(obs.MetricServeReloads),
-		reloadErrs: opts.Obs.Metrics().Counter(obs.MetricServeReloadErrors),
-		occupancy:  opts.Obs.Metrics().Gauge(obs.MetricServeBatchOccupancy),
-	}
-	perShard := opts.MaxInflight / opts.Shards
-	s.shards = make([]*shard, opts.Shards)
+	s := &Server{opts: opts, obs: opts.Obs, met: newMetrics(opts.Obs)}
+	perShard := opts.MaxInflight / opts.shards
+	s.shards = make([]*shard, opts.shards)
 	for i := range s.shards {
 		sh := &shard{
-			idx:    i,
 			srv:    s,
 			sem:    make(chan struct{}, perShard),
 			submit: make(chan *job, perShard),
 			done:   make(chan struct{}),
-			met:    newShardMetrics(opts.Obs, i, opts.Shards),
 		}
 		s.shards[i] = sh
 		go sh.batchLoop()
@@ -235,11 +219,11 @@ func (s *Server) Model() *Model { return s.models.Load() }
 func (s *Server) LoadModel(path string) (*Model, error) {
 	m, err := s.models.Reload(path)
 	if err != nil {
-		s.reloadErrs.Inc()
+		s.met.reloadErrs.Inc()
 		return nil, err
 	}
 	s.modelPath.Store(&path)
-	s.reloads.Inc()
+	s.met.reloads.Inc()
 	if l := s.obs.Logger(); l != nil {
 		l.Info("model loaded", "path", path, "generation", m.Generation, "kind", m.Pred.Kind.String())
 	}
@@ -299,19 +283,20 @@ func (s *Server) ServeBytes(body []byte, binary bool, dst []byte) ([]byte, error
 	j := getJob()
 	sh := s.admit(j)
 	if sh == nil {
-		s.shards[int(uint32(j.shard))%len(s.shards)].met.shed.Inc()
+		s.met.shed.Inc()
 		putJob(j)
 		return dst, ErrShed
 	}
-	sh.met.requests.Inc()
-	sh.met.inflight.Set(float64(len(sh.sem)))
+	s.met.requests.Inc()
+	s.met.inflight.Add(1)
 	dst, err := s.serveJob(sh, j, body, binary, dst)
 	if err != nil {
-		sh.met.errs.Inc()
+		s.met.errs.Inc()
 	}
 	putJob(j)
 	<-sh.sem
-	sh.met.latency.Observe(float64(time.Since(start)) / float64(time.Microsecond))
+	s.met.inflight.Add(-1)
+	s.met.latency.Observe(float64(time.Since(start)) / float64(time.Microsecond))
 	return dst, err
 }
 
@@ -362,7 +347,7 @@ func (s *Server) serveJob(sh *shard, j *job, body []byte, binary bool, dst []byt
 // submit queue: once Stop owns all slots, no request on that shard is
 // between admission and submit, so closing the channel is safe. Stop is
 // idempotent; ctx bounds the wait.
-func (s *Server) Stop(ctx contextLike) error {
+func (s *Server) Stop(ctx context.Context) error {
 	s.stopOnce.Do(func() {
 		s.draining.Store(true)
 		for _, sh := range s.shards {
@@ -384,14 +369,6 @@ func (s *Server) Stop(ctx contextLike) error {
 		}
 	})
 	return s.stopErr
-}
-
-// contextLike is the subset of context.Context Stop needs; it avoids
-// importing context just for Done/Err and keeps Stop testable with
-// never-expiring stubs.
-type contextLike interface {
-	Done() <-chan struct{}
-	Err() error
 }
 
 // connBuf is the per-request byte working set: the body read buffer and
@@ -510,7 +487,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		map[bool]string{false: "ok", true: "draining"}[s.draining.Load()],
 		m.Generation, m.Path, m.Pred.Kind.String(), m.Pred.NumFeatures(),
 		m.LoadedAt.UTC().Format(time.RFC3339Nano),
-		s.opts.Window.Microseconds(), s.opts.MaxBatch, s.opts.Shards, s.opts.MaxInflight)
+		s.opts.Window.Microseconds(), s.opts.MaxBatch, s.opts.shards, s.opts.MaxInflight)
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {

@@ -199,7 +199,7 @@ func TestServeBytesMatchesPredictSample(t *testing.T) {
 func TestCoalescingFormsOneBatch(t *testing.T) {
 	o := obs.New()
 	// One shard so every client funnels into the same batcher lane.
-	s := newTestServer(t, Options{Window: 40 * time.Millisecond, MaxBatch: 1024, Shards: 1, Obs: o})
+	s := newTestServer(t, Options{Window: 40 * time.Millisecond, MaxBatch: 1024, shards: 1, Obs: o})
 
 	// A phantom admission slot keeps allQueued false, so the batcher must
 	// wait out the window — every client then lands in the same batch.
@@ -268,7 +268,7 @@ func TestBatchSizeCapClosesEarly(t *testing.T) {
 
 func TestAdmissionControlSheds(t *testing.T) {
 	o := obs.New()
-	s := newTestServer(t, Options{Window: 30 * time.Millisecond, MaxBatch: 1024, Shards: 1, MaxInflight: 2, Obs: o})
+	s := newTestServer(t, Options{Window: 30 * time.Millisecond, MaxBatch: 1024, shards: 1, MaxInflight: 2, Obs: o})
 
 	// Hold both admission slots — exactly the state two slow in-flight
 	// requests produce — so the next request is shed immediately instead

@@ -22,8 +22,8 @@ import (
 // servers must produce byte-identical responses — sharding changes which
 // rows share a batch, never what a row scores.
 func TestShardedPredictionsMatchSingleShard(t *testing.T) {
-	single := newTestServer(t, Options{Window: -1, Shards: 1})
-	sharded := newTestServer(t, Options{Window: 100 * time.Microsecond, Shards: 4})
+	single := newTestServer(t, Options{Window: -1, shards: 1})
+	sharded := newTestServer(t, Options{Window: 100 * time.Microsecond, shards: 4})
 	for seed := int64(0); seed < 8; seed++ {
 		for _, rows := range []int{1, 7, 64} {
 			req := binaryRequest(randRows(rows, seed))
@@ -47,7 +47,7 @@ func TestShardedPredictionsMatchSingleShard(t *testing.T) {
 // affinity hint plus round-robin fallback), not funnel through one lane.
 func TestShardRoutingSpreadsConcurrentLoad(t *testing.T) {
 	o := obs.New()
-	s := newTestServer(t, Options{Window: 200 * time.Microsecond, Shards: 4, MaxInflight: 4, Obs: o})
+	s := newTestServer(t, Options{Window: 200 * time.Microsecond, shards: 4, MaxInflight: 4, Obs: o})
 	const clients = 4
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -67,7 +67,7 @@ func TestShardRoutingSpreadsConcurrentLoad(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	// The striped counters must account for every admitted request across
+	// The shared counters must account for every admitted request across
 	// however many shards served them.
 	snap := o.Metrics().Snapshot()
 	reqs, _ := snap.Counter(obs.MetricServeRequests)
@@ -80,13 +80,66 @@ func TestShardRoutingSpreadsConcurrentLoad(t *testing.T) {
 	}
 }
 
+// TestInflightGaugeTracksAdmitted: serve.inflight is the server-wide count
+// of admitted requests. It rises while concurrent clients are in flight
+// across lanes and reads 0 once they have all returned — an idle server
+// must not report a request in flight.
+func TestInflightGaugeTracksAdmitted(t *testing.T) {
+	o := obs.New()
+	s := newTestServer(t, Options{Window: 50 * time.Millisecond, shards: 4, MaxInflight: 64, Obs: o})
+	inflight := func() float64 {
+		v, _ := o.Metrics().Snapshot().Gauge(obs.MetricServeInflight)
+		return v
+	}
+	// Phantom slots keep allQueued false on every lane, so each batch
+	// waits out the window and the clients are in flight together. They
+	// are not admitted requests and must not show in the gauge.
+	for _, sh := range s.shards {
+		sh.sem <- struct{}{}
+	}
+	const clients = 8
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			req := binaryRequest(randRows(2, int64(c)))
+			for i := 0; i < 3; i++ {
+				if _, err := s.ServeBytes(req, true, nil); err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+			}
+		}(c)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	peak := 0.0
+	for polling := true; polling; {
+		select {
+		case <-finished:
+			polling = false
+		case <-time.After(time.Millisecond):
+			peak = max(peak, inflight())
+		}
+	}
+	for _, sh := range s.shards {
+		<-sh.sem
+	}
+	if peak < 1 || peak > clients {
+		t.Fatalf("peak serve.inflight %v with %d clients in flight, want 1..%d", peak, clients, clients)
+	}
+	if v := inflight(); v != 0 {
+		t.Fatalf("serve.inflight reads %v after every client returned, want 0", v)
+	}
+}
+
 // TestAllShardsSaturatedSheds is the burst-shedding contract: when every
 // shard's admission semaphore is full, a new request must get a fast 429
-// (ErrShed), never a hang, and the shed counter must sum correctly across
-// stripes.
+// (ErrShed), never a hang, and the shed counter must count every one.
 func TestAllShardsSaturatedSheds(t *testing.T) {
 	o := obs.New()
-	s := newTestServer(t, Options{Window: -1, Shards: 4, MaxInflight: 4, Obs: o})
+	s := newTestServer(t, Options{Window: -1, shards: 4, MaxInflight: 4, Obs: o})
 	// One slot per shard; hold all four — the state four stuck in-flight
 	// requests produce.
 	for _, sh := range s.shards {
@@ -113,7 +166,7 @@ func TestAllShardsSaturatedSheds(t *testing.T) {
 		t.Fatalf("%d sheds took %v: shedding blocked instead of failing fast", bursts, d)
 	}
 	if shed, _ := o.Metrics().Snapshot().Counter(obs.MetricServeShed); shed != bursts {
-		t.Fatalf("shed counter %d across stripes, want %d", shed, bursts)
+		t.Fatalf("shed counter %d, want %d", shed, bursts)
 	}
 
 	// Releasing one slot on any shard restores service: the fallback probe
@@ -149,7 +202,7 @@ func TestReloadSingleGenerationPerBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := New(Options{Window: time.Millisecond, Shards: 2, MaxBatch: 1024})
+	s := New(Options{Window: time.Millisecond, shards: 2, MaxBatch: 1024})
 	t.Cleanup(func() { s.Stop(context.Background()) })
 	if _, err := s.LoadModel(pathA); err != nil {
 		t.Fatalf("loading model A: %v", err)
@@ -226,7 +279,7 @@ func TestReloadSingleGenerationPerBatch(t *testing.T) {
 // load spread across all of them — every admitted request completes,
 // post-drain requests are refused, and Stop stays idempotent.
 func TestShardedGracefulDrain(t *testing.T) {
-	s := newTestServer(t, Options{Window: time.Millisecond, Shards: 4, MaxBatch: 1024})
+	s := newTestServer(t, Options{Window: time.Millisecond, shards: 4, MaxBatch: 1024})
 	const clients = 8
 	done := make([]int, clients)
 	var wg, ready sync.WaitGroup
@@ -277,7 +330,7 @@ func TestShardedGracefulDrain(t *testing.T) {
 // TestMaxInflightRoundsUpToShards documents the cap resolution: the total
 // stays at least what the caller asked for, split evenly.
 func TestMaxInflightRoundsUpToShards(t *testing.T) {
-	o := Options{Shards: 4, MaxInflight: 10}.withDefaults()
+	o := Options{shards: 4, MaxInflight: 10}.withDefaults()
 	if o.MaxInflight != 12 {
 		t.Fatalf("MaxInflight resolved to %d, want 12 (10 rounded up to a multiple of 4)", o.MaxInflight)
 	}
