@@ -546,7 +546,9 @@ type TrainOptions struct {
 	Size ModelSize
 }
 
-// Train fits one regressor per congestion target on the dataset.
+// Train fits one regressor per congestion target on the dataset. The three
+// targets share one feature matrix, so a model that can digest its rows
+// (ml.SharedTrainer, e.g. GBRT's binning) prepares them once for all three.
 func Train(ds *dataset.Dataset, opts TrainOptions) (*Predictor, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("core: train on empty dataset")
@@ -560,10 +562,20 @@ func Train(ds *dataset.Dataset, opts TrainOptions) (*Predictor, error) {
 	scaler.TransformRowsInto(&xm, X)
 	Xs := xm.RowViews(nil)
 	p := &Predictor{Kind: opts.Kind, scaler: scaler, models: make(map[dataset.Target]ml.Regressor)}
+	var prep any
 	for _, t := range dataset.Targets {
 		_, y := ds.Matrix(t)
 		m := NewModelSized(opts.Kind, opts.Seed, opts.Size)
-		if err := m.Fit(Xs, y); err != nil {
+		var err error
+		if st, ok := m.(ml.SharedTrainer); ok {
+			if prep == nil {
+				prep = st.PrepareShared(Xs)
+			}
+			err = st.FitShared(prep, Xs, y)
+		} else {
+			err = m.Fit(Xs, y)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("core: train %s/%s: %w", opts.Kind, t, err)
 		}
 		p.models[t] = m

@@ -142,3 +142,56 @@ func BenchmarkGridSearchCV(b *testing.B) {
 		}
 	}
 }
+
+// paperShapeData mimics the cardinality profile of the paper's 302 HLS
+// features as binned for the kept predictor: 99 binary, 61 three-valued
+// and 37 four-valued columns, then 105 integer columns with 5 to 18
+// levels. That bins into 2.0k histogram slots (the kept predictor's
+// features use 1.7k) where a fixed 64-bin stride would allocate 19.3k.
+// Every column is a small-integer count with heavy ties, as resource and
+// fan-in counts are.
+func paperShapeData(n int) ([][]float64, []float64) {
+	const d = 302
+	levels := make([]int, d)
+	for j := range levels {
+		switch {
+		case j < 99:
+			levels[j] = 2
+		case j < 160:
+			levels[j] = 3
+		case j < 197:
+			levels[j] = 4
+		default:
+			levels[j] = 5 + j%14
+		}
+	}
+	rng := rand.New(rand.NewSource(78))
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		row := make([]float64, d)
+		for j := range row {
+			row[j] = float64(rng.Intn(levels[j]))
+		}
+		X[i] = row
+		y[i] = 0.5*row[3] + row[120] + 0.1*row[210]*row[260] + 0.3*row[299] + 0.2*rng.NormFloat64()
+	}
+	return X, y
+}
+
+// BenchmarkFitPaperShape fits the production GBRT shape (depth 5, leaf 8,
+// row subsample 0.8, 64 bins) with fewer trees, on a paper-sized matrix:
+// the case where compact per-feature histograms matter, since most
+// features use a handful of their 64 bins.
+func BenchmarkFitPaperShape(b *testing.B) {
+	X, y := paperShapeData(8000)
+	cfg := Model{NumTrees: 20, LearningRate: 0.08, MaxDepth: 5, MinSamplesLeaf: 8, Subsample: 0.8, FeatureFrac: 1, Bins: 64, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := cfg
+		if err := m.Fit(X, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

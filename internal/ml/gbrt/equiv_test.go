@@ -11,6 +11,8 @@ package gbrt
 // pattern as internal/place/equiv_test.go and internal/route/equiv_test.go.
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sort"
@@ -481,6 +483,116 @@ func TestGBRTFitSharedEquivalence(t *testing.T) {
 					t.Fatalf("nil-digest fit shared: %v", err)
 				}
 				requireSameEnsemble(t, ref, &nd)
+			}
+		}
+	}
+}
+
+// wideMixedData is a wide matrix with the cardinality mix of the paper's
+// features — constant, binary, and three- or four-valued columns — plus
+// 260 continuous columns. At Bins 256 each continuous column fills all
+// 256 bins, so the compact histogram needs more than 65,535 slots and a
+// slot index narrower than 32 bits would alias features onto each other.
+// The target leans on the last continuous columns, whose slots lie past
+// that limit.
+func wideMixedData(seed int64, n int) ([][]float64, []float64) {
+	const few, cont = 24, 260
+	rng := rand.New(rand.NewSource(seed))
+	X := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range X {
+		row := make([]float64, few+cont)
+		for j := 0; j < few; j++ {
+			switch j % 4 {
+			case 0:
+				row[j] = 1.5 // constant: one bin, never split
+			case 1:
+				row[j] = float64(rng.Intn(2))
+			default:
+				row[j] = float64(rng.Intn(3 + j%2))
+			}
+		}
+		for j := few; j < len(row); j++ {
+			row[j] = rng.NormFloat64()
+		}
+		X[i] = row
+		d := len(row)
+		y[i] = 2*row[d-1] - row[d-2]*row[d-3] + 0.5*row[1] + 0.3*row[2] + 0.1*rng.NormFloat64()
+	}
+	return X, y
+}
+
+// TestGBRTWideMixedEquivalence holds the compact histogram layout to the
+// frozen reference on a shape the small equivData cannot reach: hundreds
+// of columns of very different bin counts and more than 65,535 slots,
+// with and without feature subsampling.
+func TestGBRTWideMixedEquivalence(t *testing.T) {
+	cfgs := []Model{
+		{NumTrees: 4, LearningRate: 0.2, MaxDepth: 4, MinSamplesLeaf: 3, Subsample: 0.8, FeatureFrac: 1, Bins: 256},
+		{NumTrees: 3, LearningRate: 0.3, MaxDepth: 5, MinSamplesLeaf: 2, Subsample: 1, FeatureFrac: 1, Bins: 256},
+		{NumTrees: 4, LearningRate: 0.2, MaxDepth: 4, MinSamplesLeaf: 3, Subsample: 0.8, FeatureFrac: 0.3, Bins: 256},
+	}
+	for _, seed := range []int64{1, 2} {
+		X, y := wideMixedData(seed, 300)
+		probe, _ := wideMixedData(seed+1000, 40)
+		if pb := NewPrebin(X, 256); pb.off[pb.d] <= math.MaxUint16 {
+			t.Fatalf("seed %d: %d histogram slots, want more than %d", seed, pb.off[pb.d], math.MaxUint16)
+		}
+		for ci, cfg := range cfgs {
+			ref := refFrom(cfg, seed)
+			if err := ref.fit(X, y); err != nil {
+				t.Fatalf("seed %d cfg %d: ref fit: %v", seed, ci, err)
+			}
+			fast := cfg
+			fast.Seed = seed
+			if err := fast.Fit(X, y); err != nil {
+				t.Fatalf("seed %d cfg %d: fast fit: %v", seed, ci, err)
+			}
+			requireSameEnsemble(t, ref, &fast)
+			for _, x := range probe {
+				if r, f := ref.predict(x), fast.Predict(x); math.Float64bits(r) != math.Float64bits(f) {
+					t.Fatalf("seed %d cfg %d: predict ref %v fast %v", seed, ci, r, f)
+				}
+			}
+		}
+	}
+}
+
+// TestGBRTSharedPrebinAcrossTargetsEquivalence checks what core.Train
+// relies on: one Prebin, prepared once, fits several targets over the
+// same rows, and each ensemble serializes to the same bytes as a plain
+// Fit on that target.
+func TestGBRTSharedPrebinAcrossTargetsEquivalence(t *testing.T) {
+	for _, seed := range []int64{3, 4} {
+		X, y0 := equivData(seed, 150, 11)
+		y1 := make([]float64, len(X))
+		y2 := make([]float64, len(X))
+		for i, x := range X {
+			y1[i] = x[1]*x[4] - math.Abs(x[6])
+			y2[i] = (y0[i] + y1[i]) / 2
+		}
+		for ci, cfg := range equivConfigs() {
+			prep := cfg.PrepareShared(X)
+			for ti, y := range [][]float64{y0, y1, y2} {
+				shared, plain := cfg, cfg
+				shared.Seed, plain.Seed = seed, seed
+				if err := shared.FitShared(prep, X, y); err != nil {
+					t.Fatalf("seed %d cfg %d target %d: fit shared: %v", seed, ci, ti, err)
+				}
+				if err := plain.Fit(X, y); err != nil {
+					t.Fatalf("seed %d cfg %d target %d: fit: %v", seed, ci, ti, err)
+				}
+				got, err := json.Marshal(&shared)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(&plain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("seed %d cfg %d target %d: shared-Prebin ensemble differs from a plain Fit", seed, ci, ti)
+				}
 			}
 		}
 	}

@@ -4,15 +4,22 @@
 // histograms for speed; feature importance follows the paper's measure, the
 // number of times a feature is used as a split point across the ensemble.
 //
-// The training fast path works on a column-major binned matrix (Prebin)
-// that is hyperparameter-independent and therefore shareable across every
-// candidate of a grid search fitted on the same rows (ml.SharedTrainer);
-// tree growth uses a flat value-typed node arena, a stable in-place row
-// partition over one shared index array, and exact histogram subtraction
-// for sibling node *counts*. Per-bin residual sums keep the direct scan:
-// float subtraction would not reproduce the original accumulation order,
-// and every optimization here is gated on byte-identical ensembles
-// (equiv_test.go). Prediction walks a flattened index-based forest.
+// The training fast path works on a binned matrix (Prebin) that is
+// hyperparameter-independent and therefore shareable across every
+// candidate of a grid search, and across the targets of one training set,
+// fitted on the same rows (ml.SharedTrainer). Split-search histograms are
+// compact: feature j owns slots off[j] .. off[j+1]-1, one per bin it really
+// has, so a set of mostly binary and few-valued features needs a fraction
+// of the d×Bins slots a fixed stride would zero and scatter into at every
+// node. Prebin stores each cell's global slot index row-major, so one pass
+// over a node's rows fills every feature's sums (and counts) with
+// arena[slot] += r. Tree growth uses a flat value-typed node arena, a
+// stable in-place row partition over one shared index array, and exact
+// histogram subtraction for sibling node *counts*. Per-bin residual sums
+// keep the direct scan: float subtraction would not reproduce the original
+// accumulation order, and every optimization here is gated on
+// byte-identical ensembles (equiv_test.go). Prediction walks a flattened
+// index-based forest.
 package gbrt
 
 import (
@@ -34,8 +41,8 @@ type Model struct {
 
 	base       float64
 	trees      []tree
-	forest     []node  // all trees' nodes concatenated, child indices global
-	roots      []int32 // root index of each tree within forest
+	forest     []node      // all trees' nodes concatenated, child indices global
+	roots      []int32     // root index of each tree within forest
 	thresholds [][]float64 // per-feature bin upper edges
 	splitCount []int       // per-feature split-point count (importance)
 }
@@ -57,8 +64,8 @@ func New(numTrees int, learningRate float64, seed int64) *Model {
 // node is one tree vertex in the flat arena. Values, not pointers: a tree
 // is one contiguous []node and Predict never chases a heap pointer.
 type node struct {
-	feature int32   // split feature, -1 for leaves
-	bin     uint8   // split bin: go left when binned value <= bin
+	feature int32 // split feature, -1 for leaves
+	bin     uint8 // split bin: go left when binned value <= bin
 	left    int32
 	right   int32
 	thresh  float64 // real-valued threshold for prediction
@@ -69,18 +76,24 @@ type tree struct {
 	nodes []node
 }
 
-// Prebin is the quantile-binned, column-major form of a training matrix:
-// per-feature bin thresholds plus one uint8 bin index per cell, feature j
-// occupying binned[j*n : (j+1)*n]. It depends only on the data and the bin
-// count — never on tree count, depth, learning rate or seed — so one
-// Prebin serves every grid-search candidate fitted on the same rows
-// (ml.SharedTrainer). A Prebin owns its storage and is immutable after
-// construction; concurrent readers are safe.
+// Prebin is the quantile-binned form of a training matrix: per-feature bin
+// thresholds, one uint8 bin index per cell (column-major, feature j
+// occupying binned[j*n : (j+1)*n]) and the same cells as histogram slot
+// indices (row-major). It depends only on the data and the bin count —
+// never on tree count, depth, learning rate, seed or target — so one
+// Prebin serves every model fitted on the same rows (ml.SharedTrainer). A
+// Prebin owns its storage and is immutable after construction; concurrent
+// readers are safe.
 type Prebin struct {
 	bins, n, d int
 	thresholds [][]float64
 	binned     []uint8 // column-major: feature j at binned[j*n : (j+1)*n]
-	rows       []uint8 // row-major: row i at rows[i*d : (i+1)*d]
+	// off[j] is feature j's first histogram slot; it owns
+	// len(thresholds[j])+1 slots, and off[d] is the histogram size.
+	off []int
+	// slots holds cell (i, j) as off[j]+bin, row-major: row i at
+	// slots[i*d : (i+1)*d]. uint32 covers 256 bins for 16M features.
+	slots []uint32
 }
 
 // NewPrebin quantile-bins X with the given bin count (out-of-range values
@@ -111,6 +124,10 @@ func NewPrebin(X [][]float64, bins int) *Prebin {
 		}
 		pb.thresholds[j] = th
 	}
+	pb.off = make([]int, pb.d+1)
+	for j, th := range pb.thresholds {
+		pb.off[j+1] = pb.off[j] + len(th) + 1
+	}
 	pb.binned = make([]uint8, pb.d*n)
 	for j := 0; j < pb.d; j++ {
 		th := pb.thresholds[j]
@@ -119,13 +136,14 @@ func NewPrebin(X [][]float64, bins int) *Prebin {
 			col[i] = binOf(X[i][j], th)
 		}
 	}
-	// Row-major mirror: split search walks whole rows (one contiguous
-	// d-byte strip per row), the partition walks single columns.
-	pb.rows = make([]uint8, n*pb.d)
+	// Row-major slot matrix: split search walks whole rows (one contiguous
+	// strip of d slot indices per row), the partition walks single columns.
+	pb.slots = make([]uint32, n*pb.d)
 	for j := 0; j < pb.d; j++ {
 		col := pb.binned[j*n : (j+1)*n]
+		base := uint32(pb.off[j])
 		for i := 0; i < n; i++ {
-			pb.rows[i*pb.d+j] = col[i]
+			pb.slots[i*pb.d+j] = base + uint32(col[i])
 		}
 	}
 	return pb
@@ -232,13 +250,13 @@ func (m *Model) fitBinned(pb *Prebin, y []float64) error {
 	}
 	b := &builder{
 		m: m, pb: pb, residual: residual, rng: rng,
-		features: features, nFeat: nFeat, dims: d, stride: pb.bins,
+		features: features, nFeat: nFeat, dims: d,
 		idx: make([]int, 0, n), part: make([]int, n),
 		treeOut: make([]float64, n), stamp: make([]int32, n),
 		res: make([]float64, n),
 	}
 	if b.shareable() {
-		b.sumsArena = make([]float64, d*pb.bins)
+		b.sumsArena = make([]float64, pb.off[d])
 	}
 
 	for t := 0; t < m.NumTrees; t++ {
@@ -324,7 +342,6 @@ type builder struct {
 	features []int
 	nFeat    int
 	dims     int
-	stride   int // count-histogram bins per feature (= Prebin bin count)
 
 	// idx is the row-index arena: every subtree owns one contiguous
 	// segment, reordered in place by the stable partition. part is the
@@ -346,9 +363,9 @@ type builder struct {
 	res []float64
 
 	// sumsArena holds every feature's per-bin residual sums for the node
-	// being split (dims*stride, feature-major) — filled by one row-major
-	// pass over the segment instead of d per-feature gather scans. Only
-	// allocated when all features are candidates at every node.
+	// being split (one per Prebin slot, feature j at off[j]) — filled by
+	// one row-major pass over the segment instead of d per-feature gather
+	// scans. Only allocated when all features are candidates at every node.
 	sumsArena []float64
 }
 
@@ -358,14 +375,14 @@ type builder struct {
 func (b *builder) shareable() bool { return b.nFeat == b.dims }
 
 // slot returns (allocating lazily) the count-histogram buffer for one
-// depth level, dims*stride uint32s laid out feature-major.
+// depth level, one uint32 per Prebin slot.
 func (b *builder) slot(depth, which int) []uint32 {
 	k := depth*slotsPerDepth + which
 	for len(b.cntStack) <= k {
 		b.cntStack = append(b.cntStack, nil)
 	}
 	if b.cntStack[k] == nil {
-		b.cntStack[k] = make([]uint32, b.dims*b.stride)
+		b.cntStack[k] = make([]uint32, b.pb.off[b.dims])
 	}
 	return b.cntStack[k]
 }
@@ -467,45 +484,26 @@ func (b *builder) bestSplit(lo, hi int, total float64, cnts []uint32, depth int)
 		// from the parent, counts) at once — each (feature, bin) cell still
 		// receives exactly the original addends in segment row order, so
 		// the float sums are bit-identical to the per-feature gather scans.
-		d, st := b.dims, b.stride
+		d, off := b.dims, b.pb.off
 		arena := b.sumsArena
-		for k := range arena {
-			arena[k] = 0
-		}
-		rb := b.pb.rows
+		clear(arena)
 		if cnts != nil {
 			nodeCnts = cnts
-			for s, i := range seg {
-				r := res[s]
-				row := rb[i*d : i*d+d]
-				for j, bv := range row {
-					arena[j*st+int(bv)] += r
-				}
-			}
+			b.pb.sumRows(arena, seg, res)
 		} else {
 			// Tally this node's counts into its slot so children can
 			// derive theirs by subtraction (childCounts).
 			nodeCnts = b.slot(depth, slotSelf)
-			for k := range nodeCnts {
-				nodeCnts[k] = 0
-			}
-			for s, i := range seg {
-				r := res[s]
-				row := rb[i*d : i*d+d]
-				for j, bv := range row {
-					k := j*st + int(bv)
-					nodeCnts[k]++
-					arena[k] += r
-				}
-			}
+			clear(nodeCnts)
+			b.pb.sumCountRows(arena, nodeCnts, seg, res)
 		}
 		for j := 0; j < d; j++ {
-			nb := len(b.m.thresholds[j]) + 1
+			nb := off[j+1] - off[j]
 			if nb < 2 {
 				continue
 			}
-			sums := arena[j*st:]
-			cj := nodeCnts[j*st:]
+			sums := arena[off[j]:]
+			cj := nodeCnts[off[j]:]
 			cl, sl := 0, 0.0
 			for k := 0; k < nb-1; k++ {
 				cl += int(cj[k])
@@ -568,6 +566,80 @@ func (b *builder) bestSplit(lo, hi int, total float64, cnts []uint32, depth int)
 	return feat, bin, gain, nodeCnts
 }
 
+// The row scans below walk the rows of seg two at a time. A row's slots
+// sit at an unpredictable place in the slot matrix, so walking two rows at
+// once keeps twice the loads in flight. Each slot still receives its
+// addends in segment order: two rows share a slot only through the same
+// feature, and the earlier row's addend goes first.
+
+// sumRows adds res[s] to sums[k] for every slot k of row seg[s].
+func (pb *Prebin) sumRows(sums []float64, seg []int, res []float64) {
+	d, sb := pb.d, pb.slots
+	s := 0
+	for ; s+1 < len(seg); s += 2 {
+		r0, r1 := res[s], res[s+1]
+		row0 := sb[seg[s]*d : seg[s]*d+d]
+		row1 := sb[seg[s+1]*d : seg[s+1]*d+d]
+		row1 = row1[:len(row0)]
+		for j, k := range row0 {
+			sums[k] += r0
+			sums[row1[j]] += r1
+		}
+	}
+	for ; s < len(seg); s++ {
+		r := res[s]
+		for _, k := range sb[seg[s]*d : seg[s]*d+d] {
+			sums[k] += r
+		}
+	}
+}
+
+// sumCountRows is sumRows that also counts every slot it adds to in cnt.
+func (pb *Prebin) sumCountRows(sums []float64, cnt []uint32, seg []int, res []float64) {
+	d, sb := pb.d, pb.slots
+	s := 0
+	for ; s+1 < len(seg); s += 2 {
+		r0, r1 := res[s], res[s+1]
+		row0 := sb[seg[s]*d : seg[s]*d+d]
+		row1 := sb[seg[s+1]*d : seg[s+1]*d+d]
+		row1 = row1[:len(row0)]
+		for j, k0 := range row0 {
+			k1 := row1[j]
+			cnt[k0]++
+			sums[k0] += r0
+			cnt[k1]++
+			sums[k1] += r1
+		}
+	}
+	for ; s < len(seg); s++ {
+		r := res[s]
+		for _, k := range sb[seg[s]*d : seg[s]*d+d] {
+			cnt[k]++
+			sums[k] += r
+		}
+	}
+}
+
+// countRows counts every slot of the rows in seg into cnt.
+func (pb *Prebin) countRows(cnt []uint32, seg []int) {
+	d, sb := pb.d, pb.slots
+	s := 0
+	for ; s+1 < len(seg); s += 2 {
+		row0 := sb[seg[s]*d : seg[s]*d+d]
+		row1 := sb[seg[s+1]*d : seg[s+1]*d+d]
+		row1 = row1[:len(row0)]
+		for j, k := range row0 {
+			cnt[k]++
+			cnt[row1[j]]++
+		}
+	}
+	for ; s < len(seg); s++ {
+		for _, k := range sb[seg[s]*d : seg[s]*d+d] {
+			cnt[k]++
+		}
+	}
+}
+
 // childCounts derives the children's per-feature bin counts with exact
 // integer histogram subtraction: the cheaper child is counted directly,
 // its sibling obtained as node minus child. Only counts are derived this
@@ -580,23 +652,15 @@ func (b *builder) childCounts(lo, mid, hi, depth int, nodeCnts []uint32) (leftC,
 	nl, nr := mid-lo, hi-mid
 	willSplit := func(sz int) bool { return depth+1 < b.m.MaxDepth && sz >= 2*b.m.MinSamplesLeaf }
 	ls, rs := willSplit(nl), willSplit(nr)
-	// A derivation costs ~3*stride histogram slots per feature (zero +
-	// subtract) and saves the derived child's per-row count increments —
-	// profitable only past this size.
-	overhead := 3 * b.stride
+	// A derivation touches each histogram slot ~3 times (zero + subtract),
+	// ~3*off[d]/d per feature, and saves the derived child's d count
+	// increments per row — profitable only past this many rows. Counts are
+	// exact integers, so the threshold moves time, never bytes.
+	overhead := 3 * b.pb.off[b.dims] / b.dims
 	countInto := func(which, s, e int) []uint32 {
 		c := b.slot(depth+1, which)
-		for k := range c {
-			c[k] = 0
-		}
-		d, st := b.dims, b.stride
-		rb := b.pb.rows
-		for _, i := range b.idx[s:e] {
-			row := rb[i*d : i*d+d]
-			for j, bv := range row {
-				c[j*st+int(bv)]++
-			}
-		}
+		clear(c)
+		b.pb.countRows(c, b.idx[s:e])
 		return c
 	}
 	derive := func(which int, direct []uint32) []uint32 {
@@ -646,7 +710,7 @@ func (t *tree) predictBinned(pb *Prebin, i int) float64 {
 		if nd.feature < 0 {
 			return nd.value
 		}
-		if pb.rows[i*pb.d+int(nd.feature)] <= nd.bin {
+		if pb.binned[int(nd.feature)*pb.n+i] <= nd.bin {
 			k = int(nd.left)
 		} else {
 			k = int(nd.right)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -95,5 +96,62 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 	}
 	if d := time.Since(start); d < readHeaderTimeout/2 {
 		t.Fatalf("connection closed after %v, before the %v header timeout could fire", d, readHeaderTimeout)
+	}
+}
+
+// TestSlowBodyClientDisconnected is the slow-body guard: a client that
+// sends complete headers and then trickles its body, far below
+// minBodyRate, must be disconnected once readTimeout passes, even while
+// the handler is still reading.
+func TestSlowBodyClientDisconnected(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+	}))
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: 1048576\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	stop, done := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(100 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if _, err := conn.Write([]byte{'x'}); err != nil {
+					return
+				}
+			}
+		}
+	}()
+	limit := readTimeout + 3*time.Second
+	conn.SetReadDeadline(start.Add(limit))
+	// The server may reset rather than close: the trickled bytes it never
+	// read are still queued when it drops the connection.
+	var ne net.Error
+	if _, err := io.Copy(io.Discard, conn); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("body-trickling connection still open after %v: %v", limit, err)
+	}
+	if d := time.Since(start); d < readTimeout/2 {
+		t.Fatalf("connection closed after %v, before the %v read timeout could fire", d, readTimeout)
 	}
 }

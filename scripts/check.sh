@@ -46,6 +46,12 @@ echo "== ml equivalence (-race) =="
 go test -race -count=1 -run 'Equivalence' \
 	./internal/ml/ ./internal/ml/gbrt/ ./internal/ml/ann/ ./internal/ml/lasso/
 
+# The paper-shaped GBRT fit (8k rows, 302 mixed-cardinality columns,
+# depth 5) runs once so the benchmark keeps compiling and running; its
+# timing is not gated here.
+echo "== gbrt paper-shape fit bench smoke =="
+go test -run '^$' -bench FitPaperShape -benchtime 1x ./internal/ml/gbrt
+
 # Steady-state serving must not allocate. Runs without -race on purpose:
 # the race detector makes sync.Pool drop Puts at random, which makes
 # allocation counts meaningless (the guards skip themselves there).
