@@ -387,9 +387,9 @@ func PredictBatch(p *Predictor, feats [][]float64) (vert, horiz, avg []float64, 
 
 // PredictBatchInto is the serving fast path: it fills the caller-owned
 // output slices (each len(feats)) with the three congestion estimates per
-// feature vector. Steady-state calls do not allocate — rows are
-// standardized into pooled scratch and the GBRT walks its flattened
-// forest — so a caller scoring many batches can reuse its slices across
+// feature vector. Steady-state calls do not allocate — a GBRT predictor
+// scales and bins rows into pooled scratch and walks its compiled trees —
+// so a caller scoring many batches can reuse its slices across
 // calls. Values are identical to Predictor.PredictSample per row.
 //
 // Every feature row must have Predictor.NumFeatures entries; ragged or

@@ -533,6 +533,10 @@ type Predictor struct {
 	Kind   ModelKind
 	scaler *ml.Scaler
 	models map[dataset.Target]ml.Regressor
+	// gbrt is the GBRT predictor's three models compiled together, in
+	// dataset.Targets order, over one set of threshold tables: each row is
+	// scaled and binned once for all three. Nil for the other kinds.
+	gbrt *gbrt.Evaluator
 }
 
 // TrainOptions tunes predictor training.
@@ -580,7 +584,31 @@ func Train(ds *dataset.Dataset, opts TrainOptions) (*Predictor, error) {
 		}
 		p.models[t] = m
 	}
+	if err := p.compile(); err != nil {
+		return nil, fmt.Errorf("core: train: %w", err)
+	}
 	return p, nil
+}
+
+// compile builds a GBRT predictor's joint evaluator; other kinds have none.
+func (p *Predictor) compile() error {
+	if p.Kind != GBRT {
+		return nil
+	}
+	ms := make([]*gbrt.Model, len(dataset.Targets))
+	for i, t := range dataset.Targets {
+		m, ok := p.models[t].(*gbrt.Model)
+		if !ok {
+			return fmt.Errorf("%s model for %s is %T", p.Kind, t, p.models[t])
+		}
+		ms[i] = m
+	}
+	ev, err := gbrt.Compile(ms...)
+	if err != nil {
+		return err
+	}
+	p.gbrt = ev
+	return nil
 }
 
 // Model exposes the trained regressor for a target (nil if missing).
@@ -637,6 +665,11 @@ var predScratchPool = sync.Pool{New: func() any { return &predScratch{} }}
 // PredictSample estimates all three congestion metrics for one raw feature
 // vector. Steady-state calls do not allocate.
 func (p *Predictor) PredictSample(feats []float64) (vert, horiz, avg float64) {
+	if p.gbrt != nil {
+		var v, h, a [1]float64
+		p.gbrt.PredictInto([][]float64{v[:], h[:], a[:]}, [][]float64{feats}, p.scaler.Mean, p.scaler.Std)
+		return v[0], h[0], a[0]
+	}
 	ps := predScratchPool.Get().(*predScratch)
 	if cap(ps.row) < len(feats) {
 		ps.row = make([]float64, len(feats))
@@ -652,10 +685,11 @@ func (p *Predictor) PredictSample(feats []float64) (vert, horiz, avg float64) {
 
 // PredictBatchInto estimates all three congestion metrics for a batch of
 // raw feature vectors, writing into the caller-owned output slices (each
-// len(feats)). Rows are standardized into a pooled flat matrix and each
-// model takes its allocation-free batch path (GBRT walks its flattened
-// forest), so steady-state calls do not allocate. Values are identical to
-// PredictSample per row.
+// len(feats)). A GBRT predictor scales and bins each row once into pooled
+// bytes and walks all three compiled ensembles over them; the other kinds
+// standardize rows into a pooled flat matrix and take each model's
+// allocation-free batch path. Steady-state calls do not allocate. Values
+// are identical to PredictSample per row.
 //
 // Every row must have exactly NumFeatures entries; a ragged or mis-sized
 // batch is rejected whole with a *BatchShapeError before anything is
@@ -667,6 +701,10 @@ func (p *Predictor) PredictBatchInto(vert, horiz, avg []float64, feats [][]float
 	}
 	if err := p.validateBatch(feats); err != nil {
 		return err
+	}
+	if p.gbrt != nil {
+		p.gbrt.PredictInto([][]float64{vert, horiz, avg}, feats, p.scaler.Mean, p.scaler.Std)
+		return nil
 	}
 	ps := predScratchPool.Get().(*predScratch)
 	p.scaler.TransformRowsInto(&ps.m, feats)

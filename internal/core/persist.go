@@ -95,6 +95,9 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 		}
 		p.models[t] = m
 	}
+	if err := p.compile(); err != nil {
+		return nil, fmt.Errorf("core: load predictor: %w", err)
+	}
 	if err := p.probe(); err != nil {
 		return nil, fmt.Errorf("core: load predictor: %w", err)
 	}

@@ -99,3 +99,26 @@ func TestMatrixReuseZeroAlloc(t *testing.T) {
 	requireZeroAllocs(t, "Matrix.Gather", func() { gx.Gather(full, idx) })
 	requireZeroAllocs(t, "GatherVec", func() { gy = ml.GatherVec(gy, y, idx) })
 }
+
+// TestGBRTEvaluatorZeroAlloc guards the compiled GBRT paths the predictor
+// serves from: single-row Predict, and several models evaluated jointly
+// over rows scaled and binned in one pass.
+func TestGBRTEvaluatorZeroAlloc(t *testing.T) {
+	X, y, probe := allocFixture(t)
+	var ms []*gbrt.Model
+	for k := 0; k < 3; k++ {
+		m := &gbrt.Model{NumTrees: 10, LearningRate: 0.2, MaxDepth: 3 + k, MinSamplesLeaf: 4, Subsample: 1, Bins: 16}
+		if err := m.Fit(X, y); err != nil {
+			t.Fatalf("gbrt fit: %v", err)
+		}
+		ms = append(ms, m)
+	}
+	requireZeroAllocs(t, "gbrt.Predict", func() { ms[0].Predict(probe[0]) })
+	ev, err := gbrt.Compile(ms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := ml.FitScaler(X)
+	outs := [][]float64{make([]float64, len(probe)), make([]float64, len(probe)), make([]float64, len(probe))}
+	requireZeroAllocs(t, "gbrt.Evaluator.PredictInto", func() { ev.PredictInto(outs, probe, s.Mean, s.Std) })
+}

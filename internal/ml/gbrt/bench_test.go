@@ -195,3 +195,40 @@ func BenchmarkFitPaperShape(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPredictPaperShape evaluates the production predictor's shape:
+// three 200-tree depth-5 ensembles (V, H and Avg, as core.Train fits them
+// from one Prebin) compiled together over the paper-sized columns, on 1,000
+// rows none of them was fitted on. Shallow ensembles on a few dozen
+// columns (BenchmarkPredictBatchInto) hide the cost of a tree walk's
+// data-dependent branches; this shape does not.
+func BenchmarkPredictPaperShape(b *testing.B) {
+	X, y := paperShapeData(3000)
+	train, rows := X[:2000], X[2000:]
+	targets := [][]float64{y[:2000], make([]float64, 2000), make([]float64, 2000)}
+	for i, x := range train {
+		targets[1][i] = x[7] + 0.4*x[150]*x[230] - 0.2*x[301]
+		targets[2][i] = (targets[0][i] + targets[1][i]) / 2
+	}
+	cfg := Model{NumTrees: 200, LearningRate: 0.08, MaxDepth: 5, MinSamplesLeaf: 8, Subsample: 0.8, FeatureFrac: 1, Bins: 64, Seed: 1}
+	prep := cfg.PrepareShared(train)
+	ms := make([]*Model, len(targets))
+	for k, t := range targets {
+		m := cfg
+		if err := m.FitShared(prep, train, t); err != nil {
+			b.Fatal(err)
+		}
+		ms[k] = &m
+	}
+	ev, err := Compile(ms...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	outs := [][]float64{make([]float64, len(rows)), make([]float64, len(rows)), make([]float64, len(rows))}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.PredictInto(outs, rows, nil, nil)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
+}

@@ -58,8 +58,11 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalJSON restores a trained model and rebuilds the flattened
-// prediction forest.
+// UnmarshalJSON restores a trained model and compiles it for prediction.
+// Every split must point at children after it in its tree, as the builder
+// writes them: that keeps a hostile artifact from making a cycle, which
+// prediction would walk forever. Trees deeper than DepthLimit are rejected
+// too, so the compiled layout stays bounded.
 func (m *Model) UnmarshalJSON(data []byte) error {
 	var in modelJSON
 	if err := json.Unmarshal(data, &in); err != nil {
@@ -77,23 +80,31 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	m.thresholds = in.Thresholds
 	m.splitCount = in.SplitCount
 	m.trees = nil
+	m.eval = nil
 	for ti, nodes := range in.Trees {
 		var t tree
 		for i, nd := range nodes {
+			feature := int32(-1) // any negative F is a leaf
 			if nd.F >= 0 {
 				if nd.L < 0 || nd.L >= len(nodes) || nd.R < 0 || nd.R >= len(nodes) {
 					return fmt.Errorf("gbrt: tree %d node %d has dangling children", ti, i)
 				}
+				if nd.F > maxFeature {
+					return fmt.Errorf("gbrt: tree %d node %d splits on feature %d, above the limit %d", ti, i, nd.F, maxFeature)
+				}
+				feature = int32(nd.F)
 			}
 			t.nodes = append(t.nodes, node{
-				feature: int32(nd.F), bin: nd.B, thresh: nd.T, left: int32(nd.L), right: int32(nd.R), value: nd.V,
+				feature: feature, bin: nd.B, thresh: nd.T, left: int32(nd.L), right: int32(nd.R), value: nd.V,
 			})
-		}
-		if len(t.nodes) == 0 {
-			return fmt.Errorf("gbrt: tree %d is empty", ti)
 		}
 		m.trees = append(m.trees, t)
 	}
-	m.buildForest()
+	// Compile checks each tree's shape (tree.depth) before laying it out.
+	ev, err := Compile(m)
+	if err != nil {
+		return err
+	}
+	m.eval = ev
 	return nil
 }

@@ -29,8 +29,9 @@ type job struct {
 	// across servers). sync.Pool is per-P, so a core keeps drawing the
 	// same jobs and the hint routes its requests back to the same shard —
 	// same batcher goroutine, same warm buffers — without any shared
-	// routing state. New jobs start on round-robin shards so cold bursts
-	// spread out.
+	// routing state, as long as that shard is idle or every shard is busy
+	// (see Server.admit). New jobs start on round-robin shards so cold
+	// bursts spread out.
 	shard int32
 	// err is the batch outcome for this job (nil on success).
 	err error

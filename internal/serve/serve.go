@@ -12,18 +12,19 @@
 //     collected for a bounded window (Options.Window, a few hundred µs)
 //     or until a row cap (Options.MaxBatch), then scored with ONE
 //     zero-alloc core.Predictor.PredictBatchInto call. Batch-of-batches
-//     beats per-request predict because the scaler and the flattened
-//     GBRT forest amortize their setup and stay hot in cache across the
+//     beats per-request predict because the scaler and the compiled
+//     GBRT trees amortize their setup and stay hot in cache across the
 //     whole batch. The batcher also flushes early the moment every
 //     admitted request is already in the batch (the admission semaphore
 //     proves no companion can arrive), so closed-loop clients never pay
 //     the window — only genuinely concurrent traffic does.
 //   - Multi-core scale-out: the server runs one independent batcher
 //     shard (lane) per GOMAXPROCS, each owning its own admission
-//     semaphore, submit queue, window timer and batch scratch. Requests
-//     route to a shard by a pooled affinity hint with a round-robin
-//     fallback under load, so each core's batcher runs its own
-//     PredictBatchInto instead of serializing on one batcher goroutine.
+//     semaphore, submit queue, window timer and batch scratch. A request
+//     goes to an idle shard when there is one, trying its pooled affinity
+//     hint first, and otherwise to the first shard with a free slot, so
+//     each core's batcher runs its own PredictBatchInto instead of
+//     serializing on one batcher goroutine.
 //     Predictions are byte-identical across shard counts: sharding
 //     changes which rows share a PredictBatchInto call, never what a row
 //     scores.
@@ -240,33 +241,40 @@ func (s *Server) Reload() (*Model, error) {
 	return s.LoadModel(*p)
 }
 
-// admit routes a request to a shard: first the job's pooled affinity hint
-// (jobs live in a per-P sync.Pool, so a core keeps landing on the same
-// shard — its batcher, its warm buffers), then every other shard once,
-// round-robin from the hint. A successful pick holds one slot of that
-// shard's semaphore and updates the hint; nil means every shard is
-// saturated and the request must shed. The fallback probes are
-// non-blocking, so all-shards-full is a fast 429, never a wait.
+// admit routes a request to a shard. It first looks for an idle shard,
+// one with no request in flight: the job's pooled affinity hint, then
+// every other shard once, round-robin from the hint. Only when every
+// shard is busy does it take the first shard with a free slot, in the same
+// order. A lone request on its shard flushes the moment it is submitted
+// (allQueued) and is scored on that shard's batcher in parallel with the
+// others, whereas a request sent to a busy shard waits behind its batch
+// and may make that batch wait out the window for it. Hints alone could
+// funnel every request into one lane while another sat idle: handler
+// goroutines move between Ps, so several Ps' pools can hold jobs stamped
+// with the same shard. A successful pick holds one slot of that shard's
+// semaphore and updates the hint; nil means every shard is saturated and
+// the request must shed. The probes are non-blocking, so all-shards-full
+// is a fast 429, never a wait.
 func (s *Server) admit(j *job) *shard {
 	n := len(s.shards)
 	h := int(uint32(j.shard)) % n
-	sh := s.shards[h]
-	select {
-	case sh.sem <- struct{}{}:
-		return sh
-	default:
-	}
-	for i := 1; i < n; i++ {
-		k := h + i
-		if k >= n {
-			k -= n
-		}
-		sh = s.shards[k]
-		select {
-		case sh.sem <- struct{}{}:
-			j.shard = int32(k)
-			return sh
-		default:
+	// Pass 0 takes only an idle shard, pass 1 any shard with a free slot.
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < n; i++ {
+			k := h + i
+			if k >= n {
+				k -= n
+			}
+			sh := s.shards[k]
+			if pass == 0 && len(sh.sem) > 0 {
+				continue
+			}
+			select {
+			case sh.sem <- struct{}{}:
+				j.shard = int32(k)
+				return sh
+			default:
+			}
 		}
 	}
 	return nil

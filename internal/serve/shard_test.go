@@ -43,8 +43,9 @@ func TestShardedPredictionsMatchSingleShard(t *testing.T) {
 }
 
 // TestShardRoutingSpreadsConcurrentLoad: with every shard's slot count at
-// one, concurrent closed-loop clients must be admitted across shards (the
-// affinity hint plus round-robin fallback), not funnel through one lane.
+// one, concurrent closed-loop clients must be admitted across shards (idle
+// shards first, then the affinity hint and round-robin fallback), not
+// funnel through one lane.
 func TestShardRoutingSpreadsConcurrentLoad(t *testing.T) {
 	o := obs.New()
 	s := newTestServer(t, Options{Window: 200 * time.Microsecond, shards: 4, MaxInflight: 4, Obs: o})
@@ -176,6 +177,50 @@ func TestAllShardsSaturatedSheds(t *testing.T) {
 		t.Fatalf("request after freeing one shard: %v", err)
 	}
 	s.shards[2].sem <- struct{}{}
+}
+
+// TestAdmitPrefersIdleShard: a job whose hint names a busy shard goes to an
+// idle one when there is one, and keeps its hinted shard only when every
+// shard is busy. Hints alone let two concurrent clients funnel into one
+// lane, each batch waiting out the window for the other's request while
+// the second lane idles.
+func TestAdmitPrefersIdleShard(t *testing.T) {
+	s := newTestServer(t, Options{Window: -1, shards: 3, MaxInflight: 6})
+	// Every slot taken below is given back before Stop, which waits for
+	// all of them; this cleanup runs first, as it is registered last.
+	var held []int
+	t.Cleanup(func() {
+		for _, k := range held {
+			<-s.shards[k].sem
+		}
+	})
+	admit := func(hint int32) int32 {
+		j := &job{shard: hint}
+		sh := s.admit(j)
+		if sh == nil || sh != s.shards[j.shard] {
+			t.Fatalf("hint %d: admitted on %p, not on the shard the hint was updated to (%d)", hint, sh, j.shard)
+		}
+		held = append(held, int(j.shard))
+		return j.shard
+	}
+	// A phantom request in flight on shard 0.
+	s.shards[0].sem <- struct{}{}
+	held = append(held, 0)
+	if k := admit(0); k != 1 {
+		t.Fatalf("hint 0 with shard 0 busy: admitted on shard %d, want idle shard 1", k)
+	}
+	// Shards 0 and 1 now hold one request each; shard 2 is the idle one.
+	if k := admit(0); k != 2 {
+		t.Fatalf("hint 0 with shards 0 and 1 busy: admitted on shard %d, want idle shard 2", k)
+	}
+	// No shard is idle: the hint decides while it has a free slot.
+	if k := admit(1); k != 1 {
+		t.Fatalf("hint 1 with every shard busy: admitted on shard %d, want hinted shard 1", k)
+	}
+	// Shard 1 is now full (2 slots): the request falls through to shard 2.
+	if k := admit(1); k != 2 {
+		t.Fatalf("hint 1 with shard 1 full: admitted on shard %d, want shard 2", k)
+	}
 }
 
 // TestReloadSingleGenerationPerBatch is the reload invariant under load:

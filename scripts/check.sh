@@ -42,15 +42,22 @@ go test -race -count=1 -run 'TestBuildDatasetFlowCache' ./internal/core/
 # with shared binning, ANN, lasso), the pooled metrics/scaler and the CV
 # grid search must be byte-identical to the frozen pre-optimization
 # implementations kept under test — across seeds, under the race detector.
+# The compiled GBRT evaluator must answer the kept benchmark artifact
+# exactly as a plain walk of its trees does (internal/core).
 echo "== ml equivalence (-race) =="
 go test -race -count=1 -run 'Equivalence' \
-	./internal/ml/ ./internal/ml/gbrt/ ./internal/ml/ann/ ./internal/ml/lasso/
+	./internal/ml/ ./internal/ml/gbrt/ ./internal/ml/ann/ ./internal/ml/lasso/ ./internal/core/
 
 # The paper-shaped GBRT fit (8k rows, 302 mixed-cardinality columns,
 # depth 5) runs once so the benchmark keeps compiling and running; its
 # timing is not gated here.
 echo "== gbrt paper-shape fit bench smoke =="
 go test -run '^$' -bench FitPaperShape -benchtime 1x ./internal/ml/gbrt
+
+# The paper-shaped prediction (three 200-tree depth-5 ensembles compiled
+# together, 302 columns) runs once the same way; its timing is not gated.
+echo "== gbrt paper-shape predict bench smoke =="
+go test -run '^$' -bench PredictPaperShape -benchtime 1x ./internal/ml/gbrt
 
 # Steady-state serving must not allocate. Runs without -race on purpose:
 # the race detector makes sync.Pool drop Puts at random, which makes
@@ -139,6 +146,12 @@ grep -q 'store: hit=[1-9]' "$CRASH_TMP/resume.txt" || {
 # fuzz run on top of the checked-in seed corpus (which go test replays).
 echo "== store decode fuzz smoke (5s) =="
 go test -run '^$' -fuzz 'FuzzStoreDecode' -fuzztime 5s ./internal/store/ > /dev/null
+
+# The predictor loader faces artifacts from disk, hot reloads included:
+# hostile payloads (cyclic or over-deep GBRT trees among them) must be
+# refused, never panic or hang the load probe.
+echo "== predictor loader fuzz smoke (5s) =="
+go test -run '^$' -fuzz 'FuzzLoadPredictor' -fuzztime 5s ./internal/core/ > /dev/null
 
 # The serving codec faces raw network bytes; its hand-rolled JSON parser
 # gets the same bounded-fuzz treatment.
@@ -378,5 +391,12 @@ STITCH_W2=""
 	exit 1
 }
 "$SERVE_TMP/obscheck" -trace "$FLEET_TMP/fleet_trace.json" -stitched -lanes 2
+
+# The benchmark's pinned answers: a short run of each perfbench workload
+# against BENCHMARK.json, the design-query digests and serve-http's
+# bit-exact answers included, so an answer that drifts fails here rather
+# than at the next benchmark run. It writes no files.
+echo "== perfbench pinned answers (go test -short) =="
+(cd perfbench && go test -short .)
 
 echo "tier-1 checks passed"
