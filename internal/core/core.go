@@ -724,11 +724,21 @@ type OpPrediction struct {
 	AvgPct   float64
 }
 
+// predictChunk is how many ops PredictModule extracts before it predicts
+// them: the feature rows it holds stay a fixed 256 × 302 floats (about
+// 600 KB) whatever the design's size.
+const predictChunk = 256
+
 // PredictModule estimates per-operation congestion for a design running
 // only the HLS front half (schedule + bind + feature extraction) — no
 // placement, no routing. This is the prediction phase of Fig. 2: the whole
 // point of the paper is that this call replaces hours of RTL
 // implementation.
+//
+// Extraction streams into prediction: each chunk of predictChunk ops is
+// extracted into one reused buffer and predicted before the next, so the
+// whole feature matrix never exists. Predictions are per row, so the
+// answers equal those of one batch over every op.
 func (p *Predictor) PredictModule(m *ir.Module, cfg flow.Config) ([]OpPrediction, error) {
 	sched, err := hls.ScheduleModule(m, cfg.Clock)
 	if err != nil {
@@ -741,22 +751,27 @@ func (p *Predictor) PredictModule(m *ir.Module, cfg flow.Config) ([]OpPrediction
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	feats := make([][]float64, len(ops))
-	for i, o := range ops {
-		feats[i] = ex.Vector(o)
-	}
-	vert := make([]float64, len(ops))
-	horiz := make([]float64, len(ops))
-	avg := make([]float64, len(ops))
-	if err := p.PredictBatchInto(vert, horiz, avg, feats); err != nil {
-		// The extractor emits fixed-width vectors, so a shape error here
-		// means the predictor artifact and the library's feature layout
-		// have drifted apart.
-		return nil, fmt.Errorf("core: predict: %w", err)
-	}
+	n := min(len(ops), predictChunk)
+	rows := ml.NewMatrix(n, features.NumFeatures).RowViews(nil)
+	vert := make([]float64, n)
+	horiz := make([]float64, n)
+	avg := make([]float64, n)
 	out := make([]OpPrediction, len(ops))
-	for i, o := range ops {
-		out[i] = OpPrediction{Op: o, VertPct: vert[i], HorizPct: horiz[i], AvgPct: avg[i]}
+	for lo := 0; lo < len(ops); lo += n {
+		chunk := ops[lo:min(lo+n, len(ops))]
+		k := len(chunk)
+		for i, o := range chunk {
+			ex.VectorInto(rows[i], o)
+		}
+		if err := p.PredictBatchInto(vert[:k], horiz[:k], avg[:k], rows[:k]); err != nil {
+			// The extractor emits fixed-width vectors, so a shape error here
+			// means the predictor artifact and the library's feature layout
+			// have drifted apart.
+			return nil, fmt.Errorf("core: predict: %w", err)
+		}
+		for i, o := range chunk {
+			out[lo+i] = OpPrediction{Op: o, VertPct: vert[i], HorizPct: horiz[i], AvgPct: avg[i]}
+		}
 	}
 	return out, nil
 }

@@ -90,9 +90,11 @@ func Categories() []Category {
 }
 
 // Extractor computes feature vectors for one implemented design. It caches
-// per-function aggregates so per-op extraction stays cheap, and reuses
-// per-op scratch state (neighborhood buffers, BFS marks) across Vector
-// calls so extraction allocates only the output vector.
+// per-function aggregates so per-op extraction stays cheap, computes each
+// op's shared neighborhood and ΔTcs aggregates once per op (the feature
+// closures only read them), and reuses per-op scratch state (neighborhood
+// buffers, BFS marks, the aggregates) across Vector calls so extraction
+// allocates only the output vector.
 //
 // An Extractor is NOT safe for concurrent use: the scratch state makes
 // Vector/VectorInto calls mutually exclusive. The parallel dataset builder
@@ -172,9 +174,10 @@ func NewExtractor(m *ir.Module, s *hls.Schedule, b *hls.Binding, g *graph.Graph,
 	return e
 }
 
-// opCtx caches the per-op intermediates shared by many features. The
-// neighborhood slices live in the Extractor's scratch and are overwritten
-// by the next Vector call; evaluators must not retain them.
+// opCtx caches the per-op intermediates shared by many features: the
+// neighborhoods, their edge statistics and the aggregates over them. It
+// lives in the Extractor's scratch and is overwritten by the next Vector
+// call; evaluators must not retain any of it.
 type opCtx struct {
 	op   *ir.Op
 	node *graph.Node
@@ -192,6 +195,33 @@ type opCtx struct {
 	edge2Total, edge2Count, edge2Max int
 
 	char hls.OpCharacter
+
+	agg aggregates
+}
+
+// resAgg is the per-resource-type sum and max of node usage over one
+// neighborhood, accumulated in neighborhood order.
+type resAgg struct {
+	sum, max [hls.ResourceTypeCount]float64
+}
+
+// aggregates holds every per-op term that several features share, each
+// computed once by context(). Each sum adds the same terms in the same node
+// or edge order as a per-type walk would, so the features keep their exact
+// bits; the kind counts are small integers, exact in float64.
+type aggregates struct {
+	// Resource usage over each neighborhood of opCtx.
+	n1pred, n1succ, n1both, n2pred, n2succ, n2both resAgg
+
+	// #Resource/ΔTcs over the direct producers and consumers (sum and max
+	// per type), and through the second ring (sum per type), dividing by
+	// the schedule distance accumulated over the hops.
+	dtPredSum, dtPredMax   [hls.ResourceTypeCount]float64
+	dtSuccSum, dtSuccMax   [hls.ResourceTypeCount]float64
+	dtPred2Sum, dtSucc2Sum [hls.ResourceTypeCount]float64
+
+	// Op-kind counts of n1both and n2both, indexed by OpKind.Index.
+	kind1, kind2 [ir.KindCount]float64
 }
 
 func (e *Extractor) context(op *ir.Op) *opCtx {
@@ -213,7 +243,89 @@ func (e *Extractor) context(op *ir.Op) *opCtx {
 	// the edge aggregation below.
 	c.n1both, c.n2both = e.walk2(node, graph.DirBoth, c.n1both, c.n2both)
 	c.edge2Total, c.edge2Count, c.edge2Max = e.edgeStats2(c)
+	e.aggregate(c)
 	return c
+}
+
+// aggregate fills c.agg from the neighborhoods context() just walked and
+// from the op's producers and consumers.
+func (e *Extractor) aggregate(c *opCtx) {
+	a := &c.agg
+	*a = aggregates{}
+	a.n1pred.add(c.n1pred)
+	a.n1succ.add(c.n1succ)
+	a.n1both.add(c.n1both)
+	a.n2pred.add(c.n2pred)
+	a.n2succ.add(c.n2succ)
+	a.n2both.add(c.n2both)
+	countKinds(&a.kind1, c.n1both)
+	countKinds(&a.kind2, c.n2both)
+	e.addDT(c)
+}
+
+func (a *resAgg) add(nodes []*graph.Node) {
+	for _, n := range nodes {
+		r := n.Res()
+		for t := range a.sum {
+			v := float64(r.ByType(t))
+			a.sum[t] += v
+			if v > a.max[t] {
+				a.max[t] = v
+			}
+		}
+	}
+}
+
+func countKinds(dst *[ir.KindCount]float64, nodes []*graph.Node) {
+	for _, x := range nodes {
+		if x.Kind.Valid() {
+			dst[x.Kind.Index()]++
+		}
+	}
+}
+
+// addDT adds the #Resource/ΔTcs terms to c.agg in one walk of the op's
+// operands and one of its users, all four resource types together. A
+// neighbor whose node is c.node itself (a shared unit feeding itself) is
+// skipped; the middle op of a two-hop path never is.
+func (e *Extractor) addDT(c *opCtx) {
+	a := &c.agg
+	for _, edge := range c.op.Operands {
+		mid := edge.Def
+		dt1 := float64(e.Sched.DeltaTcs(mid, c.op))
+		if dn := e.Graph.OfOp[mid]; dn != nil && dn != c.node {
+			addPerType(&a.dtPredSum, &a.dtPredMax, dn.Res(), dt1)
+		}
+		for _, edge2 := range mid.Operands {
+			d2 := edge2.Def
+			if dn := e.Graph.OfOp[d2]; dn != nil && dn != c.node {
+				addPerType(&a.dtPred2Sum, nil, dn.Res(), dt1+float64(e.Sched.DeltaTcs(d2, mid)))
+			}
+		}
+	}
+	for _, mid := range c.op.Users() {
+		dt1 := float64(e.Sched.DeltaTcs(c.op, mid))
+		if un := e.Graph.OfOp[mid]; un != nil && un != c.node {
+			addPerType(&a.dtSuccSum, &a.dtSuccMax, un.Res(), dt1)
+		}
+		for _, u2 := range mid.Users() {
+			if un := e.Graph.OfOp[u2]; un != nil && un != c.node {
+				addPerType(&a.dtSucc2Sum, nil, un.Res(), dt1+float64(e.Sched.DeltaTcs(mid, u2)))
+			}
+		}
+	}
+}
+
+// addPerType adds one neighbor's resource/ΔTcs term, per type, to sum and,
+// when max is not nil, to the running max.
+func addPerType(sum, max *[hls.ResourceTypeCount]float64, r hls.Resources, dt float64) {
+	for t := range sum {
+		v := float64(r.ByType(t)) / dt
+		sum[t] += v
+		if max != nil && v > max[t] {
+			max[t] = v
+		}
+	}
 }
 
 // walk2 is a two-hop BFS from n collecting the one-hop neighborhood and the
@@ -306,7 +418,8 @@ func (e *Extractor) Vector(op *ir.Op) []float64 {
 // VectorInto computes the feature vector of op into dst, which must have
 // length NumFeatures, and returns dst. It is the allocation-free variant of
 // Vector used by the dataset builder, which extracts thousands of ops per
-// design into one preallocated backing array.
+// design into one preallocated backing array, and by PredictModule, which
+// reuses one chunk of rows.
 func (e *Extractor) VectorInto(dst []float64, op *ir.Op) []float64 {
 	if len(dst) != len(registry) {
 		panic(fmt.Sprintf("features: VectorInto dst length %d, want %d", len(dst), len(registry)))
@@ -320,24 +433,6 @@ func (e *Extractor) VectorInto(dst []float64, op *ir.Op) []float64 {
 
 // ---------------------------------------------------------------------------
 // Shared helpers.
-
-func sumRes(nodes []*graph.Node, t int) float64 {
-	s := 0.0
-	for _, n := range nodes {
-		s += float64(n.Res().ByType(t))
-	}
-	return s
-}
-
-func maxRes(nodes []*graph.Node, t int) float64 {
-	m := 0.0
-	for _, n := range nodes {
-		if v := float64(n.Res().ByType(t)); v > m {
-			m = v
-		}
-	}
-	return m
-}
 
 func safeDiv(a, b float64) float64 {
 	if b == 0 {
@@ -362,86 +457,4 @@ func (e *Extractor) devTotal(t int) float64 {
 
 func (e *Extractor) funcTotal(c *opCtx, t int) float64 {
 	return float64(c.fi.res.ByType(t))
-}
-
-// dtPred sums resource/ΔTcs over the op's direct producers.
-func (e *Extractor) dtPred(c *opCtx, t int) (sum, max float64) {
-	for _, edge := range c.op.Operands {
-		d := edge.Def
-		dn := e.Graph.OfOp[d]
-		if dn == nil || dn == c.node {
-			continue
-		}
-		dt := float64(e.Sched.DeltaTcs(d, c.op))
-		v := float64(dn.Res().ByType(t)) / dt
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	return sum, max
-}
-
-// dtSucc sums resource/ΔTcs over the op's direct consumers.
-func (e *Extractor) dtSucc(c *opCtx, t int) (sum, max float64) {
-	for _, u := range c.op.Users() {
-		un := e.Graph.OfOp[u]
-		if un == nil || un == c.node {
-			continue
-		}
-		dt := float64(e.Sched.DeltaTcs(c.op, u))
-		v := float64(un.Res().ByType(t)) / dt
-		sum += v
-		if v > max {
-			max = v
-		}
-	}
-	return sum, max
-}
-
-// dtPred2 extends the term through the second predecessor ring, dividing by
-// the accumulated schedule distance over the two hops.
-func (e *Extractor) dtPred2(c *opCtx, t int) float64 {
-	sum := 0.0
-	for _, edge := range c.op.Operands {
-		mid := edge.Def
-		dt1 := float64(e.Sched.DeltaTcs(mid, c.op))
-		for _, edge2 := range mid.Operands {
-			d2 := edge2.Def
-			dn := e.Graph.OfOp[d2]
-			if dn == nil || dn == c.node {
-				continue
-			}
-			dt2 := float64(e.Sched.DeltaTcs(d2, mid))
-			sum += float64(dn.Res().ByType(t)) / (dt1 + dt2)
-		}
-	}
-	return sum
-}
-
-// dtSucc2 is the successor-side two-hop variant.
-func (e *Extractor) dtSucc2(c *opCtx, t int) float64 {
-	sum := 0.0
-	for _, mid := range c.op.Users() {
-		dt1 := float64(e.Sched.DeltaTcs(c.op, mid))
-		for _, u2 := range mid.Users() {
-			un := e.Graph.OfOp[u2]
-			if un == nil || un == c.node {
-				continue
-			}
-			dt2 := float64(e.Sched.DeltaTcs(mid, u2))
-			sum += float64(un.Res().ByType(t)) / (dt1 + dt2)
-		}
-	}
-	return sum
-}
-
-func countKind(nodes []*graph.Node, k ir.OpKind) float64 {
-	n := 0.0
-	for _, x := range nodes {
-		if x.Kind == k {
-			n++
-		}
-	}
-	return n
 }

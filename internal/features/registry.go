@@ -115,67 +115,67 @@ func registerResource() {
 			return safeDiv(float64(c.node.Res().ByType(t)), e.funcTotal(c, t))
 		})
 		reg("pred_total", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n1pred, t)
+			return c.agg.n1pred.sum[t]
 		})
 		reg("succ_total", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n1succ, t)
+			return c.agg.n1succ.sum[t]
 		})
 		reg("predsucc_sum", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n1pred, t) + sumRes(c.n1succ, t)
+			return c.agg.n1pred.sum[t] + c.agg.n1succ.sum[t]
 		})
 		reg("pred_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n1pred, t), e.devTotal(t))
+			return safeDiv(c.agg.n1pred.sum[t], e.devTotal(t))
 		})
 		reg("succ_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n1succ, t), e.devTotal(t))
+			return safeDiv(c.agg.n1succ.sum[t], e.devTotal(t))
 		})
 		reg("pred_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n1pred, t), e.funcTotal(c, t))
+			return safeDiv(c.agg.n1pred.sum[t], e.funcTotal(c, t))
 		})
 		reg("succ_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n1succ, t), e.funcTotal(c, t))
+			return safeDiv(c.agg.n1succ.sum[t], e.funcTotal(c, t))
 		})
 		reg("max_nbr", func(e *Extractor, c *opCtx) float64 {
-			return maxRes(c.n1both, t)
+			return c.agg.n1both.max[t]
 		})
 		reg("max_nbr_frac", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(maxRes(c.n1both, t), sumRes(c.n1both, t))
+			return safeDiv(c.agg.n1both.max[t], c.agg.n1both.sum[t])
 		})
 		reg("pred2_total", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n2pred, t)
+			return c.agg.n2pred.sum[t]
 		})
 		reg("succ2_total", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n2succ, t)
+			return c.agg.n2succ.sum[t]
 		})
 		reg("sum2", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n2pred, t) + sumRes(c.n2succ, t)
+			return c.agg.n2pred.sum[t] + c.agg.n2succ.sum[t]
 		})
 		reg("pred2_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n2pred, t), e.devTotal(t))
+			return safeDiv(c.agg.n2pred.sum[t], e.devTotal(t))
 		})
 		reg("succ2_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n2succ, t), e.devTotal(t))
+			return safeDiv(c.agg.n2succ.sum[t], e.devTotal(t))
 		})
 		reg("pred2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n2pred, t), e.funcTotal(c, t))
+			return safeDiv(c.agg.n2pred.sum[t], e.funcTotal(c, t))
 		})
 		reg("succ2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n2succ, t), e.funcTotal(c, t))
+			return safeDiv(c.agg.n2succ.sum[t], e.funcTotal(c, t))
 		})
 		reg("max_nbr2", func(e *Extractor, c *opCtx) float64 {
-			return maxRes(c.n2both, t)
+			return c.agg.n2both.max[t]
 		})
 		reg("max_nbr2_frac", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(maxRes(c.n2both, t), sumRes(c.n2both, t))
+			return safeDiv(c.agg.n2both.max[t], c.agg.n2both.sum[t])
 		})
 		reg("both2_total", func(e *Extractor, c *opCtx) float64 {
-			return sumRes(c.n2both, t)
+			return c.agg.n2both.sum[t]
 		})
 		reg("both2_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n2both, t), e.devTotal(t))
+			return safeDiv(c.agg.n2both.sum[t], e.devTotal(t))
 		})
 		reg("both2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(sumRes(c.n2both, t), e.funcTotal(c, t))
+			return safeDiv(c.agg.n2both.sum[t], e.funcTotal(c, t))
 		})
 	}
 }
@@ -203,48 +203,40 @@ func registerResourceDT() {
 			register(fmt.Sprintf("dt_%s_%s", tn, name), CatResourceDT, f)
 		}
 		reg("pred_sum", func(e *Extractor, c *opCtx) float64 {
-			s, _ := e.dtPred(c, t)
-			return s
+			return c.agg.dtPredSum[t]
 		})
 		reg("succ_sum", func(e *Extractor, c *opCtx) float64 {
-			s, _ := e.dtSucc(c, t)
-			return s
+			return c.agg.dtSuccSum[t]
 		})
 		reg("sum", func(e *Extractor, c *opCtx) float64 {
-			p, _ := e.dtPred(c, t)
-			s, _ := e.dtSucc(c, t)
-			return p + s
+			return c.agg.dtPredSum[t] + c.agg.dtSuccSum[t]
 		})
 		reg("pred_max", func(e *Extractor, c *opCtx) float64 {
-			_, m := e.dtPred(c, t)
-			return m
+			return c.agg.dtPredMax[t]
 		})
 		reg("succ_max", func(e *Extractor, c *opCtx) float64 {
-			_, m := e.dtSucc(c, t)
-			return m
+			return c.agg.dtSuccMax[t]
 		})
 		reg("pred_util_func", func(e *Extractor, c *opCtx) float64 {
-			s, _ := e.dtPred(c, t)
-			return safeDiv(s, e.funcTotal(c, t))
+			return safeDiv(c.agg.dtPredSum[t], e.funcTotal(c, t))
 		})
 		reg("succ_util_func", func(e *Extractor, c *opCtx) float64 {
-			s, _ := e.dtSucc(c, t)
-			return safeDiv(s, e.funcTotal(c, t))
+			return safeDiv(c.agg.dtSuccSum[t], e.funcTotal(c, t))
 		})
 		reg("pred2_sum", func(e *Extractor, c *opCtx) float64 {
-			return e.dtPred2(c, t)
+			return c.agg.dtPred2Sum[t]
 		})
 		reg("succ2_sum", func(e *Extractor, c *opCtx) float64 {
-			return e.dtSucc2(c, t)
+			return c.agg.dtSucc2Sum[t]
 		})
 		reg("sum2", func(e *Extractor, c *opCtx) float64 {
-			return e.dtPred2(c, t) + e.dtSucc2(c, t)
+			return c.agg.dtPred2Sum[t] + c.agg.dtSucc2Sum[t]
 		})
 		reg("pred2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(e.dtPred2(c, t), e.funcTotal(c, t))
+			return safeDiv(c.agg.dtPred2Sum[t], e.funcTotal(c, t))
 		})
 		reg("succ2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(e.dtSucc2(c, t), e.funcTotal(c, t))
+			return safeDiv(c.agg.dtSucc2Sum[t], e.funcTotal(c, t))
 		})
 	}
 }
@@ -260,15 +252,15 @@ func registerOpType() {
 		})
 	}
 	for _, k := range ir.AllKinds() {
-		k := k
+		i := k.Index()
 		register(fmt.Sprintf("type_nbr1_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
-			return countKind(c.n1both, k)
+			return c.agg.kind1[i]
 		})
 	}
 	for _, k := range ir.AllKinds() {
-		k := k
+		i := k.Index()
 		register(fmt.Sprintf("type_nbr2_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
-			return countKind(c.n2both, k)
+			return c.agg.kind2[i]
 		})
 	}
 }

@@ -59,6 +59,12 @@ go test -run '^$' -bench FitPaperShape -benchtime 1x ./internal/ml/gbrt
 echo "== gbrt paper-shape predict bench smoke =="
 go test -run '^$' -bench PredictPaperShape -benchtime 1x ./internal/ml/gbrt
 
+# The paper-scale feature extraction (every op of Face Detection through
+# one extractor) runs once the same way; its ns/row and allocs/row are not
+# gated.
+echo "== feature extraction bench smoke =="
+go test -run '^$' -bench ExtractDesign -benchtime 1x ./internal/features
+
 # Steady-state serving must not allocate. Runs without -race on purpose:
 # the race detector makes sync.Pool drop Puts at random, which makes
 # allocation counts meaningless (the guards skip themselves there).
