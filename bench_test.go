@@ -7,7 +7,7 @@
 //
 // reproduces the entire evaluation. The rendered tables print once per run
 // (first iteration) so the output doubles as the experiment log.
-package congest
+package repro
 
 import (
 	"context"
@@ -16,8 +16,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
+	"repro/internal/flow"
+	"repro/internal/flowcache"
+	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 func benchCfg() experiments.Config {
@@ -210,7 +216,7 @@ func BenchmarkTuning(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var all []*experiments.TuningResult
-		for _, kind := range []ModelKind{Linear, GBRT} { // ANN CV is hours in pure Go
+		for _, kind := range []core.ModelKind{core.Linear, core.GBRT} { // ANN CV is hours in pure Go
 			r, err := experiments.Tuning(cfg, ds, kind)
 			if err != nil {
 				b.Fatal(err)
@@ -273,9 +279,9 @@ func BenchmarkBuildDataset(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				mods := TrainingModules()
-				_, _, _, err := BuildDatasetResilient(context.Background(), mods,
-					DefaultFlowConfig(), BuildOptions{LabelRuns: 2, Workers: workers})
+				mods := bench.TrainingModules()
+				_, _, _, err := core.BuildDatasetContext(context.Background(), mods,
+					flow.DefaultConfig(), core.BuildOptions{LabelRuns: 2, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -292,10 +298,11 @@ func BenchmarkBuildDataset(b *testing.B) {
 // BenchmarkBuildDataset, nil observer) is the baseline it compares to.
 func BenchmarkBuildDatasetObserved(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		mods := TrainingModules()
-		cfg := WithObserver(DefaultFlowConfig(), NewObserver())
-		_, _, _, err := BuildDatasetResilient(context.Background(), mods,
-			cfg, BuildOptions{LabelRuns: 2, Workers: 2})
+		mods := bench.TrainingModules()
+		cfg := flow.DefaultConfig()
+		cfg.Obs = obs.New()
+		_, _, _, err := core.BuildDatasetContext(context.Background(), mods,
+			cfg, core.BuildOptions{LabelRuns: 2, Workers: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -311,18 +318,18 @@ func BenchmarkBuildDatasetObserved(b *testing.B) {
 // the speedup delivered by internal/flowcache. The warm build's output is
 // byte-identical to a cold one (core's flow-cache determinism test).
 func BenchmarkBuildDatasetWarmCache(b *testing.B) {
-	cache := NewFlowCache(0)
-	cfg := DefaultFlowConfig()
+	cache := flowcache.New(0)
+	cfg := flow.DefaultConfig()
 	cfg.Cache = cache
-	opts := BuildOptions{LabelRuns: 2, Workers: 1}
+	opts := core.BuildOptions{LabelRuns: 2, Workers: 1}
 	// Prime the cache with one untimed cold build.
-	if _, _, _, err := BuildDatasetResilient(context.Background(), TrainingModules(), cfg, opts); err != nil {
+	if _, _, _, err := core.BuildDatasetContext(context.Background(), bench.TrainingModules(), cfg, opts); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mods := TrainingModules()
-		_, _, _, err := BuildDatasetResilient(context.Background(), mods, cfg, opts)
+		mods := bench.TrainingModules()
+		_, _, _, err := core.BuildDatasetContext(context.Background(), mods, cfg, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -338,16 +345,16 @@ func BenchmarkBuildDatasetWarmCache(b *testing.B) {
 // the only carried-over state — exactly the cross-process resume scenario.
 func storeBuild(b *testing.B, dir string) {
 	b.Helper()
-	s, err := OpenArtifactStore(dir, ArtifactStoreOptions{})
+	s, err := store.Open(dir, store.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	cache := NewFlowCache(0)
+	cache := flowcache.New(0)
 	cache.AttachStore(s)
-	cfg := DefaultFlowConfig()
+	cfg := flow.DefaultConfig()
 	cfg.Cache = cache
-	_, _, _, err = BuildDatasetResilient(context.Background(), TrainingModules(), cfg,
-		BuildOptions{LabelRuns: 2, Workers: 1, Checkpoint: NewBuildCheckpoint(s)})
+	_, _, _, err = core.BuildDatasetContext(context.Background(), bench.TrainingModules(), cfg,
+		core.BuildOptions{LabelRuns: 2, Workers: 1, Checkpoint: store.NewCheckpoint(s)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -390,7 +397,7 @@ func BenchmarkBuildDatasetWarmStore(b *testing.B) {
 		storeBuild(b, dir)
 	}
 	b.StopTimer()
-	s, err := OpenArtifactStore(dir, ArtifactStoreOptions{})
+	s, err := store.Open(dir, store.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -404,8 +411,8 @@ func BenchmarkBuildDatasetWarmStore(b *testing.B) {
 // designer skip.
 func BenchmarkFullFlowFaceDetection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m := FaceDetection(WithDirectives())
-		if _, err := RunFlow(m, DefaultFlowConfig()); err != nil {
+		m := bench.FaceDetection(bench.WithDirectives())
+		if _, err := flow.Run(m, flow.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -415,18 +422,18 @@ func BenchmarkFullFlowFaceDetection(b *testing.B) {
 // bind, features, model inference) — what replaces the full flow at design
 // time.
 func BenchmarkPredictionOnly(b *testing.B) {
-	ds, _, err := BuildTrainingDataset(DefaultFlowConfig())
+	ds, _, err := core.BuildDataset(bench.TrainingModules(), flow.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	pred, err := TrainPredictor(ds, TrainOptions{Kind: GBRT, Filter: true, Seed: 1})
+	pred, err := core.Train(ds, core.TrainOptions{Kind: core.GBRT, Filter: true, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := FaceDetection(NotInline())
-		if _, err := pred.PredictModule(m, DefaultFlowConfig()); err != nil {
+		m := bench.FaceDetection(bench.NotInline())
+		if _, err := pred.PredictModule(m, flow.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

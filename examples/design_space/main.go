@@ -11,23 +11,24 @@ import (
 	"fmt"
 	"log"
 
-	congest "repro"
+	"repro/internal/bench"
+	"repro/internal/flow"
 )
 
 func main() {
-	cfg := congest.DefaultFlowConfig()
+	cfg := flow.DefaultConfig()
 	fmt.Printf("%-34s %8s %10s %12s %8s %8s %6s\n",
 		"directives", "WNS(ns)", "Fmax(MHz)", "latency", "maxV%", "maxH%", ">100%")
 
 	type point struct {
 		name string
-		dir  congest.Directives
+		dir  bench.Directives
 	}
 	var sweep []point
 	for _, unroll := range []int{1, 2, 4} {
 		for _, inline := range []bool{false, true} {
 			for _, part := range []bool{false, true} {
-				d := congest.Directives{
+				d := bench.Directives{
 					Inline:            inline,
 					Unroll:            unroll,
 					Pipeline:          true,
@@ -43,7 +44,7 @@ func main() {
 	best := -1.0
 	bestName := ""
 	for _, pt := range sweep {
-		res, err := congest.RunFlow(congest.FaceDetection(pt.dir), cfg)
+		res, err := flow.Run(bench.FaceDetection(pt.dir), cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,21 +12,23 @@ import (
 	"fmt"
 	"log"
 
-	congest "repro"
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/flow"
 )
 
 func main() {
-	cfg := congest.DefaultFlowConfig()
+	cfg := flow.DefaultConfig()
 
 	fmt.Println("== training phase: one full C-to-FPGA run per training design ==")
-	ds, _, err := congest.BuildTrainingDataset(cfg)
+	ds, _, err := core.BuildDataset(bench.TrainingModules(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("dataset: %d samples, %.2f%% marginal operations filtered\n",
 		ds.Len(), 100*ds.MarginalFraction())
-	pred, err := congest.TrainPredictor(ds, congest.TrainOptions{
-		Kind: congest.GBRT, Filter: true, Seed: 7,
+	pred, err := core.Train(ds, core.TrainOptions{
+		Kind: core.GBRT, Filter: true, Seed: 7,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -34,18 +36,18 @@ func main() {
 
 	steps := []struct {
 		name string
-		dir  congest.Directives
+		dir  bench.Directives
 		note string
 	}{
-		{"Baseline", congest.WithDirectives(),
+		{"Baseline", bench.WithDirectives(),
 			"all directives on: inlined cascade, unrolled scan, partitioned window"},
-		{"Not Inline", congest.NotInline(),
+		{"Not Inline", bench.NotInline(),
 			"step 1: remove function inlining from the cascade"},
-		{"Replication", congest.Replication(),
+		{"Replication", bench.Replication(),
 			"step 2: replicate the shared window data per classifier"},
 	}
 	for _, st := range steps {
-		m := congest.FaceDetection(st.dir)
+		m := bench.FaceDetection(st.dir)
 		fmt.Printf("\n== %s — %s ==\n", st.name, st.note)
 
 		// Prediction phase: HLS information only, no placement or routing.
@@ -54,7 +56,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println("predicted hottest source regions (from HLS IR only):")
-		for i, h := range congest.Hotspots(preds) {
+		for i, h := range core.Hotspots(preds) {
 			if i >= 5 {
 				break
 			}
@@ -62,7 +64,7 @@ func main() {
 		}
 
 		// Validation: one real implementation run, as the paper's Table VI.
-		res, err := congest.RunFlow(m, cfg)
+		res, err := flow.Run(m, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,22 +11,24 @@ import (
 	"log"
 	"sort"
 
-	congest "repro"
+	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/features"
+	"repro/internal/flow"
 	"repro/internal/ml/gbrt"
 )
 
 func main() {
-	cfg := congest.DefaultFlowConfig()
-	ds, _, err := congest.BuildTrainingDataset(cfg)
+	cfg := flow.DefaultConfig()
+	ds, _, err := core.BuildDataset(bench.TrainingModules(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	filtered, removed := ds.FilterMarginal()
 	fmt.Printf("dataset: %d samples (%d marginal removed)\n", filtered.Len(), removed)
 
-	X, y := filtered.Matrix(congest.Vertical)
+	X, y := filtered.Matrix(dataset.Vertical)
 	model := core.NewModel(core.GBRT, 11).(*gbrt.Model)
 	if err := model.Fit(X, y); err != nil {
 		log.Fatal(err)

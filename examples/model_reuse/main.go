@@ -12,23 +12,24 @@ import (
 	"os"
 	"path/filepath"
 
-	congest "repro"
+	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/flow"
 )
 
 func main() {
-	cfg := congest.DefaultFlowConfig()
+	cfg := flow.DefaultConfig()
 	modelPath := filepath.Join(os.TempDir(), "congest_gbrt.json")
 
 	// --- Training side (run once, e.g. in CI) -----------------------------
 	fmt.Println("training phase: building dataset and fitting GBRT...")
-	ds, _, err := congest.BuildTrainingDataset(cfg)
+	ds, _, err := core.BuildDataset(bench.TrainingModules(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(ds.Summary())
-	pred, err := congest.TrainPredictor(ds, congest.TrainOptions{
-		Kind: congest.GBRT, Filter: true, Seed: 1,
+	pred, err := core.Train(ds, core.TrainOptions{
+		Kind: core.GBRT, Filter: true, Seed: 1,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -56,12 +57,12 @@ func main() {
 	}
 	fmt.Printf("reloaded %s predictor; screening a new design without PAR...\n", loaded.Kind)
 
-	design := congest.FaceDetection(congest.NotInline())
+	design := bench.FaceDetection(bench.NotInline())
 	preds, err := loaded.PredictModule(design, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hs := congest.Hotspots(preds)
+	hs := core.Hotspots(preds)
 	fmt.Printf("top predicted congestion hotspots in %s:\n", design.Name)
 	for i, h := range hs {
 		if i >= 6 {

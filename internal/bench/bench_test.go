@@ -27,8 +27,12 @@ func TestAllGeneratorsProduceValidIR(t *testing.T) {
 }
 
 func TestTrainingModulesSampleBudget(t *testing.T) {
+	mods := TrainingModules()
+	if len(mods) != 3 {
+		t.Fatalf("TrainingModules = %d implementations, want the paper's 3", len(mods))
+	}
 	total := 0
-	for _, m := range TrainingModules() {
+	for _, m := range mods {
 		total += m.NumOps()
 	}
 	// The paper's dataset holds 8111 samples; ours must stay within a few

@@ -25,6 +25,21 @@ func quickCfg() Config {
 	return cfg
 }
 
+// TestExperimentConfigDefaults pins the experiment defaults the benchmarks
+// rely on.
+func TestExperimentConfigDefaults(t *testing.T) {
+	cfg := DefaultConfig()
+	if cfg.Quick {
+		t.Fatal("published numbers must not default to quick mode")
+	}
+	if cfg.Flow.Dev == nil || cfg.Flow.Dev.Name != "xc7z020clg484" {
+		t.Fatal("default device must be the paper's xc7z020")
+	}
+	if cfg.Flow.Clock.PeriodNS != 10 {
+		t.Fatal("default clock must be the paper's 100 MHz")
+	}
+}
+
 func TestTableI(t *testing.T) {
 	res, err := TableI(quickCfg())
 	if err != nil {

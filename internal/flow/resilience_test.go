@@ -47,12 +47,12 @@ func TestRunContextFaultInjectionPerStage(t *testing.T) {
 }
 
 // TestRetrySucceedsWithRerolledSeed is acceptance criterion (a): injected
-// router non-convergence on attempt 1 is retried under RetryPolicy and
+// router non-convergence on attempt 1 is retried under DefaultRetryPolicy and
 // succeeds on attempt 2 with a re-rolled seed.
 func TestRetrySucceedsWithRerolledSeed(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Faults = faults.FailFirst(StageRoute, 1, ErrUnroutable)
-	policy := RetryPolicy{MaxAttempts: 2, SeedStride: 104729, RouteIterStep: 2, CapacityRelax: 0.3}
+	policy := DefaultRetryPolicy()
 	res, err := RunWithRetry(context.Background(), smallModule(), cfg, policy)
 	if err != nil {
 		t.Fatalf("retry did not recover: %v", err)
@@ -60,7 +60,7 @@ func TestRetrySucceedsWithRerolledSeed(t *testing.T) {
 	if res.Config.Attempt != 1 {
 		t.Fatalf("succeeded on attempt %d, want 1", res.Config.Attempt)
 	}
-	if got, want := res.Config.Seed, cfg.Seed+policy.SeedStride; got != want {
+	if got, want := res.Config.Seed, cfg.Seed+policy.SeedStride; got != want || got == cfg.Seed {
 		t.Fatalf("seed not re-rolled: got %d want %d", got, want)
 	}
 	if got, want := res.Config.Route.Iterations, cfg.Route.Iterations+policy.RouteIterStep; got != want {
@@ -104,6 +104,10 @@ func TestCancelledContextStopsRun(t *testing.T) {
 	_, err := RunContext(ctx, smallModule(), quickConfig())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	var se *StageError
+	if !errors.As(err, &se) {
+		t.Fatalf("cancellation not wrapped in StageError: %v", err)
 	}
 }
 

@@ -1,10 +1,12 @@
 package gbrt
 
-// Old-vs-new benchmarks for the GBRT fast path. The *Ref benchmarks drive
-// the frozen reference implementation from equiv_test.go (row-major
-// binning per fit, pointer nodes, per-node full histogram scans, per-cell
-// Take copies in the grid search); their non-Ref counterparts drive the
-// shipped fast path; BENCH_PR4.json records the pairs.
+// Benchmarks for the GBRT trainer and evaluator. The *Ref benchmarks drive
+// the frozen reference trainer from equiv_test.go (row-major binning per
+// fit, pointer nodes, per-node full histogram scans, per-cell Take copies
+// in the grid search); their non-Ref counterparts drive the shipped fast
+// path on the same data. The *PaperShape benchmarks time the shipped fit
+// and the compiled evaluator on columns shaped like the paper's 302 HLS
+// features.
 
 import (
 	"math/rand"
@@ -49,35 +51,6 @@ func BenchmarkFit(b *testing.B) {
 		if err := m.Fit(X, y); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkPredictBatchRef(b *testing.B) {
-	X, y := benchData(400, 40)
-	m := refFrom(benchCfg, 1)
-	if err := m.fit(X, y); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, x := range X {
-			_ = m.predict(x)
-		}
-	}
-}
-
-func BenchmarkPredictBatchInto(b *testing.B) {
-	X, y := benchData(400, 40)
-	m := benchCfg
-	if err := m.Fit(X, y); err != nil {
-		b.Fatal(err)
-	}
-	out := make([]float64, len(X))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictBatchInto(out, X)
 	}
 }
 
@@ -200,8 +173,8 @@ func BenchmarkFitPaperShape(b *testing.B) {
 // three 200-tree depth-5 ensembles (V, H and Avg, as core.Train fits them
 // from one Prebin) compiled together over the paper-sized columns, on 1,000
 // rows none of them was fitted on. Shallow ensembles on a few dozen
-// columns (BenchmarkPredictBatchInto) hide the cost of a tree walk's
-// data-dependent branches; this shape does not.
+// columns hide the cost of a tree walk's data-dependent branches; this
+// shape does not.
 func BenchmarkPredictPaperShape(b *testing.B) {
 	X, y := paperShapeData(3000)
 	train, rows := X[:2000], X[2000:]

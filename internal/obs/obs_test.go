@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -226,5 +228,22 @@ func TestParseLevel(t *testing.T) {
 	}
 	if _, err := ParseLevel("loud"); err == nil {
 		t.Error("bad level accepted")
+	}
+}
+
+// TestNewLoggerFiltersBelowLevel: a logger built at a parsed level drops
+// records below it and keeps the rest.
+func TestNewLoggerFiltersBelowLevel(t *testing.T) {
+	lv, err := ParseLevel("warn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	log := NewLogger(&buf, lv)
+	log.Info("hidden")
+	log.Warn("visible", "k", "v")
+	out := buf.String()
+	if strings.Contains(out, "hidden") || !strings.Contains(out, "visible") {
+		t.Errorf("level filtering wrong:\n%s", out)
 	}
 }

@@ -16,6 +16,10 @@ go test ./...
 echo "== go test -race =="
 go test -race ./...
 
+# The README's first example runs end to end, not just compiles.
+echo "== quickstart example =="
+go run ./examples/quickstart > /dev/null
+
 # The parallel execution layer's reproduction contract: a concurrent build
 # must be byte-identical to the sequential one, and the parallel hot paths
 # must be clean under the race detector even while being timed.
@@ -96,9 +100,13 @@ go test -race -count=10 \
 # and the shared registry/tracer must be race-clean under the same worker
 # pool the builder uses.
 echo "== observability smoke (quick run + artifact validation) =="
+# Artifacts and built binaries live in a per-run directory, so concurrent
+# runs of this script never overwrite each other's files.
+CHECK_TMP="$(mktemp -d)"
+trap 'rm -rf "$CHECK_TMP"' EXIT
 go run ./cmd/hlscong -quick -workers 2 \
-	-trace /tmp/obs_trace.json -metrics /tmp/obs_metrics.json table1 > /dev/null
-go run ./cmd/obscheck -trace /tmp/obs_trace.json -metrics /tmp/obs_metrics.json
+	-trace "$CHECK_TMP/obs_trace.json" -metrics "$CHECK_TMP/obs_metrics.json" table1 > /dev/null
+go run ./cmd/obscheck -trace "$CHECK_TMP/obs_trace.json" -metrics "$CHECK_TMP/obs_metrics.json"
 
 echo "== obs invariants (zero-alloc, golden trace, -race) =="
 go test -count=1 -run 'TestDisabledSpanZeroAlloc|TestChromeTraceGolden' ./internal/obs/
@@ -121,13 +129,13 @@ go test -count=1 \
 # (nonzero store.hit), produce an artifact byte-identical to a never-killed
 # build, and leave a store with zero quarantined entries.
 echo "== crash recovery (kill -9 mid-build, resume, byte-identical) =="
-go build -o /tmp/storecheck ./cmd/storecheck
+go build -o "$CHECK_TMP/storecheck" ./cmd/storecheck
 CRASH_TMP="$(mktemp -d)"
-trap 'rm -rf "$CRASH_TMP" /tmp/storecheck' EXIT
-/tmp/storecheck -dir "$CRASH_TMP/ref" -build -modules digit_recognition \
+trap 'rm -rf "$CHECK_TMP" "$CRASH_TMP"' EXIT
+"$CHECK_TMP/storecheck" -dir "$CRASH_TMP/ref" -build -modules digit_recognition \
 	-label-runs 2 -moves 3000 -out "$CRASH_TMP/ref.art" > /dev/null
 set +e
-/tmp/storecheck -dir "$CRASH_TMP/crash" -build -modules digit_recognition \
+"$CHECK_TMP/storecheck" -dir "$CRASH_TMP/crash" -build -modules digit_recognition \
 	-label-runs 2 -moves 3000 -crash-after-puts 2 > /dev/null 2>&1
 crash_rc=$?
 set -e
@@ -135,7 +143,7 @@ if [ "$crash_rc" -eq 0 ]; then
 	echo "FAIL: crash run exited cleanly instead of dying mid-build"
 	exit 1
 fi
-/tmp/storecheck -dir "$CRASH_TMP/crash" -build -modules digit_recognition \
+"$CHECK_TMP/storecheck" -dir "$CRASH_TMP/crash" -build -modules digit_recognition \
 	-label-runs 2 -moves 3000 -out "$CRASH_TMP/resumed.art" |
 	tee "$CRASH_TMP/resume.txt"
 cmp "$CRASH_TMP/ref.art" "$CRASH_TMP/resumed.art" || {
@@ -146,7 +154,7 @@ grep -q 'store: hit=[1-9]' "$CRASH_TMP/resume.txt" || {
 	echo "FAIL: resume never hit the persistent store"
 	exit 1
 }
-/tmp/storecheck -dir "$CRASH_TMP/crash" > /dev/null
+"$CHECK_TMP/storecheck" -dir "$CRASH_TMP/crash" > /dev/null
 
 # The store's decode path must also survive hostile bytes: a short bounded
 # fuzz run on top of the checked-in seed corpus (which go test replays).
@@ -172,7 +180,7 @@ go test -run '^$' -fuzz 'FuzzDecodeJSONRows' -fuzztime 5s ./internal/serve/ > /d
 echo "== congserve smoke (2 lanes: serve, probe identity, hot-reload, drain) =="
 SERVE_TMP="$(mktemp -d)"
 SERVE_PID=""
-trap 'rm -rf "$CRASH_TMP" "$SERVE_TMP" /tmp/storecheck; [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2> /dev/null || true' EXIT
+trap 'rm -rf "$CHECK_TMP" "$CRASH_TMP" "$SERVE_TMP"; [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2> /dev/null || true' EXIT
 go build -o "$SERVE_TMP/congserve" ./cmd/congserve
 go build -o "$SERVE_TMP/congload" ./cmd/congload
 go build -o "$SERVE_TMP/congtop" ./cmd/congtop
@@ -307,7 +315,7 @@ FLEET_TMP="$(mktemp -d)"
 FLEET_W1=""
 FLEET_W2=""
 FLEET_COORD=""
-trap 'rm -rf "$CRASH_TMP" "$SERVE_TMP" "$FLEET_TMP" /tmp/storecheck; [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2> /dev/null; for p in "$FLEET_COORD" "$FLEET_W1" "$FLEET_W2"; do [ -n "$p" ] && kill -9 "$p" 2> /dev/null; done; true' EXIT
+trap 'rm -rf "$CHECK_TMP" "$CRASH_TMP" "$SERVE_TMP" "$FLEET_TMP"; [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2> /dev/null; for p in "$FLEET_COORD" "$FLEET_W1" "$FLEET_W2"; do [ -n "$p" ] && kill -9 "$p" 2> /dev/null; done; true' EXIT
 go build -o "$FLEET_TMP/hlscong" ./cmd/hlscong
 # The move budget makes each cell take seconds, so the SIGKILL at 1.5s
 # lands mid-cell with the doomed worker's lease still outstanding.
@@ -366,7 +374,7 @@ echo "== stitched fleet trace (2 workers, one trace, lanes validated) =="
 STITCH_COORD=""
 STITCH_W1=""
 STITCH_W2=""
-trap 'rm -rf "$CRASH_TMP" "$SERVE_TMP" "$FLEET_TMP" /tmp/storecheck; [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2> /dev/null; for p in "$FLEET_COORD" "$FLEET_W1" "$FLEET_W2" "$STITCH_COORD" "$STITCH_W1" "$STITCH_W2"; do [ -n "$p" ] && kill -9 "$p" 2> /dev/null; done; true' EXIT
+trap 'rm -rf "$CHECK_TMP" "$CRASH_TMP" "$SERVE_TMP" "$FLEET_TMP"; [ -n "$SERVE_PID" ] && kill -9 "$SERVE_PID" 2> /dev/null; for p in "$FLEET_COORD" "$FLEET_W1" "$FLEET_W2" "$STITCH_COORD" "$STITCH_W1" "$STITCH_W2"; do [ -n "$p" ] && kill -9 "$p" 2> /dev/null; done; true' EXIT
 rm -f "$FLEET_TMP/addr.txt"
 "$FLEET_TMP/hlscong" -serve-builds 127.0.0.1:0 -fleet-addr-file "$FLEET_TMP/addr.txt" \
 	-modules digit_recognition -label-runs 4 -moves 3000 \
