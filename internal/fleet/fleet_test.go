@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -887,6 +888,73 @@ func TestFleetStitchedTrace(t *testing.T) {
 	// 4 cells ran; every one must have shipped a flow span from some lane.
 	if flows != 4 {
 		t.Errorf("stitched trace has %d flow spans, want 4 (one per cell)", flows)
+	}
+
+	// The rendered Chrome trace: one named pid per worker lane, the
+	// fleet.build root alone on the local pid 1, and time moving forward
+	// along every (pid, tid) track.
+	var buf bytes.Buffer
+	if err := o.Trace.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Name  string         `json:"name"`
+			Phase string         `json:"ph"`
+			TS    float64        `json:"ts"`
+			Dur   float64        `json:"dur"`
+			PID   int            `json:"pid"`
+			TID   int            `json:"tid"`
+			Args  map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
+		t.Fatalf("stitched trace is not valid JSON: %v", err)
+	}
+	named := make(map[string]bool)
+	roots := 0
+	lastTS := make(map[[2]int]float64)
+	for _, ev := range tf.TraceEvents {
+		switch ev.Phase {
+		case "M":
+			if ev.Name != "process_name" {
+				continue
+			}
+			name, _ := ev.Args["name"].(string)
+			if ev.PID == 1 {
+				t.Errorf("local pid 1 carries process_name %q", name)
+			}
+			if named[name] {
+				t.Errorf("lane %q named twice", name)
+			}
+			named[name] = true
+		case "X":
+			if ev.TS < 0 || ev.Dur < 0 {
+				t.Errorf("event %q has negative ts %v or dur %v", ev.Name, ev.TS, ev.Dur)
+			}
+			if ev.Name == "fleet.build" {
+				roots++
+				if ev.PID != 1 {
+					t.Errorf("fleet.build rendered on pid %d, want the local pid 1", ev.PID)
+				}
+			}
+			track := [2]int{ev.PID, ev.TID}
+			if ev.TS < lastTS[track] {
+				t.Errorf("track pid %d tid %d goes backwards in time at %q", ev.PID, ev.TID, ev.Name)
+			}
+			lastTS[track] = ev.TS
+		}
+	}
+	if roots != 1 {
+		t.Errorf("rendered trace has %d fleet.build roots, want 1", roots)
+	}
+	if len(named) != len(lanes) {
+		t.Errorf("%d process_name records for %d worker lanes", len(named), len(lanes))
+	}
+	for lane := range lanes {
+		if !named[lane] {
+			t.Errorf("worker lane %q has no process_name record", lane)
+		}
 	}
 }
 

@@ -83,13 +83,14 @@ func (g *Gauge) Value() float64 {
 
 // Histogram is a fixed-bucket distribution with atomic observation.
 // bounds[i] is the inclusive upper edge of bucket i; one overflow bucket
-// catches everything above the last bound. Sum, count, min and max are
-// tracked exactly (CAS loops on the float bits), so snapshots report a
-// true mean alongside the bucketed shape.
+// catches everything above the last bound. Sum, min and max are tracked
+// exactly (CAS loops on the float bits), so snapshots report a true mean
+// alongside the bucketed shape. The count is not stored: a snapshot sums
+// the buckets it read, so a scrape taken during traffic never reports a
+// count that disagrees with its own +Inf bucket.
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Int64 // len(bounds)+1; last = overflow
-	count   atomic.Int64
 	sumBits atomic.Uint64
 	minBits atomic.Uint64 // +Inf until first observation
 	maxBits atomic.Uint64 // -Inf until first observation
@@ -112,7 +113,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	addFloat(&h.sumBits, v)
 	casLess(&h.minBits, v)
 	casMore(&h.maxBits, v)
@@ -317,22 +317,21 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	sort.Slice(snap.Gauges, func(i, j int) bool { return snap.Gauges[i].Name < snap.Gauges[j].Name })
 	for name, h := range hists {
-		hs := HistogramSnap{
-			Name:  name,
-			Count: h.count.Load(),
-			Sum:   math.Float64frombits(h.sumBits.Load()),
-		}
-		if hs.Count > 0 {
-			hs.Min = math.Float64frombits(h.minBits.Load())
-			hs.Max = math.Float64frombits(h.maxBits.Load())
-			hs.Mean = hs.Sum / float64(hs.Count)
-		}
+		hs := HistogramSnap{Name: name, Buckets: make([]BucketSnap, len(h.buckets))}
 		for i := range h.buckets {
 			ub := math.Inf(1)
 			if i < len(h.bounds) {
 				ub = h.bounds[i]
 			}
-			hs.Buckets = append(hs.Buckets, BucketSnap{UpperBound: ub, Count: h.buckets[i].Load()})
+			n := h.buckets[i].Load()
+			hs.Buckets[i] = BucketSnap{UpperBound: ub, Count: n}
+			hs.Count += n
+		}
+		hs.Sum = math.Float64frombits(h.sumBits.Load())
+		if hs.Count > 0 {
+			hs.Min = math.Float64frombits(h.minBits.Load())
+			hs.Max = math.Float64frombits(h.maxBits.Load())
+			hs.Mean = hs.Sum / float64(hs.Count)
 		}
 		snap.Histograms = append(snap.Histograms, hs)
 	}

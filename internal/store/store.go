@@ -480,7 +480,7 @@ func (s *Store) scan() error {
 
 // VerifyAll re-reads and fully verifies every entry (header, key, payload
 // digest), quarantining failures. It returns how many entries verified
-// clean and how many were quarantined — the cmd/storecheck operation.
+// clean and how many were quarantined.
 func (s *Store) VerifyAll() (ok, quarantined int) {
 	s.mu.Lock()
 	keys := make([]string, 0, len(s.sizes))
