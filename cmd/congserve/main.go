@@ -18,12 +18,6 @@
 //	                    how scripts discover a :0 port
 //	-debug-addr H:P     serve /debug/* on a second listener too ("" = only
 //	                    on the main mux)
-//	-window DUR         micro-batch coalescing window (default 200µs;
-//	                    negative = never wait)
-//	-max-batch N        row cap of one coalesced batch (default 256)
-//	-max-inflight N     admission cap; excess requests get 429 (default
-//	                    4×GOMAXPROCS, rounded up to a multiple of the
-//	                    lane count)
 //	-log-level LEVEL    debug, info, warn or error (default info)
 //
 // Observability flags:
@@ -32,7 +26,6 @@
 //	-metrics FILE       write a JSON metrics snapshot on exit (and SIGHUP)
 //	-history-interval D time-series recorder sampling interval behind
 //	                    /debug/metrics/history (default 1s; 0 disables)
-//	-history-cap N      ring-buffer capacity in samples (default 300)
 //	-breach-dir DIR     write breach captures (pprof + history) here
 //	-breach-p99-us N    capture when a history window's serve.latency_us
 //	                    p99 exceeds N microseconds (0 disables)
@@ -48,7 +41,10 @@
 //	-kind MODEL         linear, ann or gbrt (default gbrt)
 //
 // The server runs one independent batcher lane per GOMAXPROCS; set the
-// GOMAXPROCS environment variable to change the lane count.
+// GOMAXPROCS environment variable to change the lane count. The batching
+// and admission settings are internal/serve's defaults (a 200µs coalescing
+// window, 256-row batches, 4×GOMAXPROCS requests in flight); /healthz and
+// the startup log report the resolved values.
 //
 // Signals: SIGHUP hot-reloads the model artifact from disk (also POST
 // /reload); SIGINT/SIGTERM drain gracefully — in-flight requests finish,
@@ -86,14 +82,10 @@ func realMain() int {
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
 	debugAddr := flag.String("debug-addr", "", "extra listener for /debug/* (\"\" = main mux only)")
 	model := flag.String("model", "", "predictor artifact file (required)")
-	window := flag.Duration("window", 200*time.Microsecond, "coalescing window (negative = never wait)")
-	maxBatch := flag.Int("max-batch", 256, "row cap of one coalesced batch")
-	maxInflight := flag.Int("max-inflight", 0, "admission cap (0 = 4×GOMAXPROCS)")
 	logLevel := flag.String("log-level", "info", "debug, info, warn or error")
 	traceFile := flag.String("trace", "", "write a Chrome trace here on exit and on SIGHUP")
 	metricsFile := flag.String("metrics", "", "write a JSON metrics snapshot here on exit and on SIGHUP")
 	historyInterval := flag.Duration("history-interval", time.Second, "metrics history sampling interval (0 disables the recorder)")
-	historyCap := flag.Int("history-cap", 300, "metrics history ring capacity in samples")
 	breachDir := flag.String("breach-dir", "", "directory for breach captures (pprof + metrics history)")
 	breachP99 := flag.Float64("breach-p99-us", 0, "capture when a window's serve.latency_us p99 exceeds this (0 disables)")
 	breachMinInterval := flag.Duration("breach-min-interval", time.Minute, "rate limit between breach captures")
@@ -127,17 +119,11 @@ func realMain() int {
 		TraceFile:         *traceFile,
 		MetricsFile:       *metricsFile,
 		HistoryInterval:   *historyInterval,
-		HistoryCap:        *historyCap,
 		BreachDir:         *breachDir,
 		BreachP99Us:       *breachP99,
 		BreachMinInterval: *breachMinInterval,
 	}
-	if err := run(o, *addr, *addrFile, *debugAddr, *model, oc, serve.Options{
-		MaxBatch:    *maxBatch,
-		Window:      *window,
-		MaxInflight: *maxInflight,
-		Obs:         o,
-	}); err != nil {
+	if err := run(o, *addr, *addrFile, *debugAddr, *model, oc); err != nil {
 		fmt.Fprintln(os.Stderr, "congserve:", err)
 		return 1
 	}
@@ -149,7 +135,6 @@ type obsConfig struct {
 	TraceFile         string
 	MetricsFile       string
 	HistoryInterval   time.Duration
-	HistoryCap        int
 	BreachDir         string
 	BreachP99Us       float64
 	BreachMinInterval time.Duration
@@ -252,8 +237,8 @@ func writeFileAtomic(path string, content []byte) error {
 }
 
 // run serves until SIGINT/SIGTERM, hot-reloading on SIGHUP.
-func run(o *obs.Observer, addr, addrFile, debugAddr, model string, oc obsConfig, opts serve.Options) error {
-	s := serve.New(opts)
+func run(o *obs.Observer, addr, addrFile, debugAddr, model string, oc obsConfig) error {
+	s := serve.New(serve.Options{Obs: o})
 	m, err := s.LoadModel(model)
 	if err != nil {
 		return err
@@ -263,10 +248,7 @@ func run(o *obs.Observer, addr, addrFile, debugAddr, model string, oc obsConfig,
 	// feeds /debug/metrics/history and the breach watcher. The request
 	// path never touches it.
 	if oc.HistoryInterval > 0 {
-		rec := obs.NewRecorder(o.Reg, obs.RecorderOptions{
-			Interval: oc.HistoryInterval,
-			Capacity: oc.HistoryCap,
-		})
+		rec := obs.NewRecorder(o.Reg, obs.RecorderOptions{Interval: oc.HistoryInterval})
 		o.Rec = rec
 		if oc.BreachDir != "" && oc.BreachP99Us > 0 {
 			obs.NewBreachWatcher(rec,

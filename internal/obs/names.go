@@ -2,8 +2,8 @@ package obs
 
 // Canonical metric names. They are defined here — not in the packages that
 // write them — because readers live elsewhere: the hlscong run report,
-// congload, congtop, perfbench and the debug endpoint all key off these
-// strings, and a shared constant keeps writer and reader from drifting.
+// congtop, perfbench and the debug endpoint all key off these strings,
+// and a shared constant keeps writer and reader from drifting.
 const (
 	// MetricStagePrefix prefixes one duration histogram per flow stage:
 	// "flow.stage_ms.schedule", ..., "flow.stage_ms.timing" (milliseconds).

@@ -212,7 +212,7 @@ func (r *Recorder) Sample() RecorderSample {
 		if r.prev != nil {
 			prev = r.prev.Histogram(h.Name)
 		}
-		hw := HistogramWindow(prev, h)
+		hw := histogramWindow(prev, h)
 		if r.prev == nil {
 			// First sample: totals only, no window to delta over.
 			hw = HistWindow{Name: h.Name, Total: h.Count}
@@ -303,12 +303,10 @@ func counterDelta(prev, cur int64) int64 {
 	return cur - prev
 }
 
-// HistogramWindow derives one histogram's window activity between two
+// histogramWindow derives one histogram's window activity between two
 // snapshots of the same metric. prev may be nil (everything counts as the
-// window, the reset rule); cur must be non-nil. Exposed because congload
-// uses the same derivation to embed a server-side before/after delta in
-// its report.
-func HistogramWindow(prev, cur *HistogramSnap) HistWindow {
+// window, the reset rule); cur must be non-nil.
+func histogramWindow(prev, cur *HistogramSnap) HistWindow {
 	hw := HistWindow{Name: cur.Name, Total: cur.Count}
 	reset := prev == nil || cur.Count < prev.Count
 	if reset {

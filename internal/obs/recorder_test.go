@@ -104,7 +104,7 @@ func TestRecorderCounterReset(t *testing.T) {
 		Buckets: []BucketSnap{{UpperBound: 1, Count: 50}, {UpperBound: math.Inf(1), Count: 0}}}
 	cur := &HistogramSnap{Name: "h", Count: 3, Sum: 2.4,
 		Buckets: []BucketSnap{{UpperBound: 1, Count: 3}, {UpperBound: math.Inf(1), Count: 0}}}
-	hw := HistogramWindow(prev, cur)
+	hw := histogramWindow(prev, cur)
 	if hw.Count != 3 || hw.Sum != 2.4 {
 		t.Errorf("reset window = %+v, want the current totals (count 3, sum 2.4)", hw)
 	}

@@ -20,23 +20,33 @@ import (
 // TestShardedPredictionsMatchSingleShard is the scale-out reproduction
 // contract: the same payloads served through 1-shard and many-shard
 // servers must produce byte-identical responses — sharding changes which
-// rows share a batch, never what a row scores.
+// rows share a batch, never what a row scores. Both codecs are checked;
+// the JSON case is the in-process twin of the curl probe in check.sh.
 func TestShardedPredictionsMatchSingleShard(t *testing.T) {
 	single := newTestServer(t, Options{Window: -1, shards: 1})
 	sharded := newTestServer(t, Options{Window: 100 * time.Microsecond, shards: 4})
 	for seed := int64(0); seed < 8; seed++ {
 		for _, rows := range []int{1, 7, 64} {
-			req := binaryRequest(randRows(rows, seed))
-			want, err := single.ServeBytes(req, true, nil)
-			if err != nil {
-				t.Fatalf("single-shard serve (seed %d, %d rows): %v", seed, rows, err)
-			}
-			got, err := sharded.ServeBytes(req, true, nil)
-			if err != nil {
-				t.Fatalf("sharded serve (seed %d, %d rows): %v", seed, rows, err)
-			}
-			if !bytes.Equal(want, got) {
-				t.Fatalf("seed %d, %d rows: sharded response differs from single-shard", seed, rows)
+			rs := randRows(rows, seed)
+			for _, in := range []struct {
+				codec  string
+				req    []byte
+				binary bool
+			}{
+				{"binary", binaryRequest(rs), true},
+				{"json", jsonRequest(t, rs), false},
+			} {
+				want, err := single.ServeBytes(in.req, in.binary, nil)
+				if err != nil {
+					t.Fatalf("single-shard %s serve (seed %d, %d rows): %v", in.codec, seed, rows, err)
+				}
+				got, err := sharded.ServeBytes(in.req, in.binary, nil)
+				if err != nil {
+					t.Fatalf("sharded %s serve (seed %d, %d rows): %v", in.codec, seed, rows, err)
+				}
+				if !bytes.Equal(want, got) {
+					t.Fatalf("seed %d, %d rows: sharded %s response differs from single-shard", seed, rows, in.codec)
+				}
 			}
 		}
 	}

@@ -89,16 +89,16 @@ go test -race -count=10 \
 	./internal/serve/
 
 go build -o "$CHECK_TMP/congserve" ./cmd/congserve
-go build -o "$CHECK_TMP/congload" ./cmd/congload
 go build -o "$CHECK_TMP/congtop" ./cmd/congtop
 go build -o "$CHECK_TMP/hlscong" ./cmd/hlscong
 
-# The serving daemon's contract, end to end over real HTTP: train a quick
-# artifact, serve it on two lanes, predict against it, prove its responses
-# byte-identical to a one-lane server's (congload -probe), hot-reload it (a
-# valid swap bumps the generation; a corrupt artifact is rejected with the
-# old model still serving), then drain gracefully on SIGTERM with load in
-# flight.
+# The serving daemon's contract, end to end over real HTTP with curl as
+# the only client: train a quick artifact, serve it on two lanes, predict
+# against it, prove its responses byte-identical to a one-lane server's,
+# hot-reload it (a valid swap bumps the generation; a corrupt artifact is
+# rejected with the old model still serving), then drain gracefully on
+# SIGTERM with requests in flight. Serving throughput and latency are
+# measured by perfbench's serve-http workload, not here.
 echo "== congserve smoke (2 lanes: serve, probe identity, hot-reload, drain) =="
 S="$CHECK_TMP/serve"
 mkdir "$S"
@@ -121,19 +121,36 @@ SERVE_PID=$!
 track "$SERVE_PID"
 wait_file "$S/addr.txt" congserve
 ADDR="$(cat "$S/addr.txt")"
-curl -sf "http://$ADDR/healthz" | grep -q '"status": "ok"' || {
+curl -sf "http://$ADDR/healthz" > "$S/healthz.json"
+grep -q '"status": "ok"' "$S/healthz.json" || {
 	echo "FAIL: /healthz not ok"
 	exit 1
 }
-"$CHECK_TMP/congload" -addr "$ADDR" -n 200 -concurrency 2 -rows 32 > "$S/load.json"
-grep -q '"errors": 0' "$S/load.json" || {
-	echo "FAIL: /predict load run had errors"
-	exit 1
+# One JSON body serves every /predict below: 4 rows of fixed, varied
+# values, as wide as the "features" count the server reports.
+awk -F': ' '/"features"/ {
+	n = $2 + 0
+	printf "{\"rows\": ["
+	for (r = 0; r < 4; r++) {
+		printf "%s[", (r ? ", " : "")
+		for (j = 0; j < n; j++)
+			printf "%s%.6g", (j ? ", " : ""), ((r * 131 + j * 17) % 97) / 24.25 - 2
+		printf "]"
+	}
+	printf "]}\n"
+}' "$S/healthz.json" > "$S/body.json"
+# predict ADDR: POST the body to ADDR's /predict, the response to stdout;
+# fails on a connection error or an HTTP status of 400 or above.
+predict() {
+	curl -sf -H 'Content-Type: application/json' --data-binary "@$S/body.json" \
+		"http://$1/predict"
 }
-grep -q '"server"' "$S/load.json" || {
-	echo "FAIL: congload report carries no server-side metrics delta"
-	exit 1
-}
+for i in 1 2 3 4 5; do
+	predict "$ADDR" > "$S/load.json" && grep -q '^{"rows":4,' "$S/load.json" || {
+		echo "FAIL: /predict request $i did not return 4 predictions"
+		exit 1
+	}
+done
 # Telemetry surface over the same live server: the Prometheus endpoint
 # serves the request counter (the exposition's format is linted in
 # internal/obs), the history ring has samples, congtop renders a frame
@@ -168,21 +185,24 @@ for f in reason.json history.json heap.pprof; do
 	}
 done
 # Byte-identity across lane counts: a 1-lane server (GOMAXPROCS=1) over
-# the same artifact must answer the probe with the exact bytes the 2-lane
-# one did.
+# the same artifact must answer the same body with the exact bytes the
+# 2-lane one did.
 GOMAXPROCS=1 "$CHECK_TMP/congserve" -model "$S/model.json" -addr 127.0.0.1:0 \
 	-addr-file "$S/addr1.txt" -log-level warn &
 SERVE1_PID=$!
 track "$SERVE1_PID"
 wait_file "$S/addr1.txt" "1-lane congserve"
-"$CHECK_TMP/congload" -addr "$ADDR" -probe "$S/probe2.bin"
-"$CHECK_TMP/congload" -addr "$(cat "$S/addr1.txt")" -probe "$S/probe1.bin"
+predict "$ADDR" > "$S/probe2.json" &&
+	predict "$(cat "$S/addr1.txt")" > "$S/probe1.json" || {
+	echo "FAIL: probe request to the 2-lane or 1-lane congserve failed"
+	exit 1
+}
 kill -TERM "$SERVE1_PID" && wait "$SERVE1_PID" || {
 	echo "FAIL: 1-lane congserve did not drain cleanly"
 	exit 1
 }
 untrack "$SERVE1_PID"
-cmp "$S/probe1.bin" "$S/probe2.bin" || {
+cmp "$S/probe1.json" "$S/probe2.json" || {
 	echo "FAIL: 2-lane predictions differ from 1-lane"
 	exit 1
 }
@@ -196,12 +216,13 @@ code="$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/reload")"
 	echo "FAIL: corrupt artifact reload answered $code, want 422"
 	exit 1
 }
-"$CHECK_TMP/congload" -addr "$ADDR" -n 50 -concurrency 1 -rows 8 > /dev/null || {
+predict "$ADDR" > /dev/null || {
 	echo "FAIL: serving stopped after a rejected reload"
 	exit 1
 }
-"$CHECK_TMP/congload" -addr "$ADDR" -duration 2s -concurrency 2 -rows 32 \
-	> "$S/drain.json" 2> /dev/null &
+# Drain under load: one request at a time until the server stops
+# answering; every response that landed is appended to drain.json.
+while predict "$ADDR" >> "$S/drain.json"; do :; done &
 LOAD_PID=$!
 track "$LOAD_PID"
 sleep 0.4
@@ -215,7 +236,7 @@ untrack "$SERVE_PID"
 }
 wait "$LOAD_PID" || true
 untrack "$LOAD_PID"
-grep -q '"preds": [1-9]' "$S/drain.json" || {
+grep -q '^{"rows":4,' "$S/drain.json" || {
 	echo "FAIL: no request completed during the drain window"
 	exit 1
 }
