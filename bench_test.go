@@ -420,7 +420,8 @@ func BenchmarkFullFlowFaceDetection(b *testing.B) {
 
 // BenchmarkPredictionOnly measures the HLS-side prediction path (schedule,
 // bind, features, model inference) — what replaces the full flow at design
-// time.
+// time. It predicts the same design BenchmarkFullFlowFaceDetection
+// implements, so the two timings compare like with like.
 func BenchmarkPredictionOnly(b *testing.B) {
 	ds, _, err := core.BuildDataset(bench.TrainingModules(), flow.DefaultConfig())
 	if err != nil {
@@ -432,7 +433,7 @@ func BenchmarkPredictionOnly(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := bench.FaceDetection(bench.NotInline())
+		m := bench.FaceDetection(bench.WithDirectives())
 		if _, err := pred.PredictModule(m, flow.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,7 @@
 // congtop is the terminal dashboard over the /debug observability
-// surface: it polls a process's /debug/metrics/history ring (congserve or
-// an hlscong coordinator run with -history-interval / -debug-addr) and
-// repaints a live view of what the flight recorder sees — counter rates,
-// gauges, histogram window p50/p99 — plus, when -fleet points at a
-// coordinator, the build's cell progress and per-worker balance.
+// surface: it polls a congserve's /debug/metrics/history ring (sampled
+// every -history-interval) and repaints a live view of what the flight
+// recorder sees — counter rates, gauges, histogram window p50/p99.
 //
 // congtop reads the derived series the recorder already computed; it does
 // no rate math of its own, so what it shows is exactly what a breach
@@ -16,7 +14,6 @@
 // Flags:
 //
 //	-addr HOST:PORT   /debug endpoint to poll (required)
-//	-fleet HOST:PORT  also poll this fleet coordinator's /fleet/status
 //	-interval DUR     poll interval (default 1s)
 //	-frames N         exit after N frames (0 = run until interrupted)
 //	-once             one frame, no screen control, then exit
@@ -38,7 +35,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/obs"
 )
 
@@ -48,7 +44,6 @@ func main() {
 
 func realMain() int {
 	addr := flag.String("addr", "", "debug endpoint HOST:PORT (required)")
-	fleetAddr := flag.String("fleet", "", "also poll this coordinator's /fleet/status")
 	interval := flag.Duration("interval", time.Second, "poll interval")
 	frames := flag.Int("frames", 0, "exit after N frames (0 = until interrupted)")
 	once := flag.Bool("once", false, "render one frame and exit (1 on fetch failure)")
@@ -77,7 +72,7 @@ func realMain() int {
 			}
 		}
 		hist, err := fetchHistory(client, *addr)
-		frame := renderFrame(*addr, hist, err, fetchStatus(client, *fleetAddr))
+		frame := renderFrame(*addr, hist, err)
 		if *plain {
 			os.Stdout.WriteString(frame)
 		} else {
@@ -115,26 +110,8 @@ func fetchHistory(client *http.Client, addr string) (*obs.RecorderHistory, error
 	return &env, nil
 }
 
-// fetchStatus polls the coordinator, returning nil when -fleet is unset or
-// the poll fails — fleet progress is an optional pane, never an error.
-func fetchStatus(client *http.Client, addr string) *fleet.Status {
-	if addr == "" {
-		return nil
-	}
-	resp, err := client.Get("http://" + addr + "/fleet/status")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	var st fleet.Status
-	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
-		return nil
-	}
-	return &st
-}
-
 // renderFrame formats one full screen of output.
-func renderFrame(addr string, hist *obs.RecorderHistory, err error, st *fleet.Status) string {
+func renderFrame(addr string, hist *obs.RecorderHistory, err error) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "congtop  %s  %s\n", addr, time.Now().Format("15:04:05"))
 	switch {
@@ -149,10 +126,6 @@ func renderFrame(addr string, hist *obs.RecorderHistory, err error, st *fleet.St
 		renderCounters(&b, s)
 		renderGauges(&b, s)
 		renderHists(&b, s)
-		renderWorkerBalance(&b, s)
-	}
-	if st != nil {
-		renderFleet(&b, st)
 	}
 	return b.String()
 }
@@ -177,9 +150,6 @@ func renderCounters(b *strings.Builder, s obs.RecorderSample) {
 func renderGauges(b *strings.Builder, s obs.RecorderSample) {
 	shown := false
 	for _, g := range s.Gauges {
-		if strings.HasPrefix(g.Name, obs.MetricFleetWorkerCellsPrefix) {
-			continue // rendered as the balance pane below
-		}
 		if !shown {
 			fmt.Fprintf(b, "\n%-28s %12s\n", "GAUGE", "value")
 			shown = true
@@ -199,67 +169,6 @@ func renderHists(b *strings.Builder, s obs.RecorderSample) {
 			shown = true
 		}
 		fmt.Fprintf(b, "%-28s %10d %12.1f %12.1f\n", clip(h.Name, 28), h.Count, h.P50, h.P99)
-	}
-}
-
-// renderWorkerBalance bar-charts the per-worker completed-cell gauges the
-// coordinator maintains, so a stalled or slow worker is visible at a
-// glance without a /fleet/status round trip.
-func renderWorkerBalance(b *strings.Builder, s obs.RecorderSample) {
-	type wc struct {
-		name  string
-		cells float64
-	}
-	var workers []wc
-	max := 0.0
-	for _, g := range s.Gauges {
-		name, ok := strings.CutPrefix(g.Name, obs.MetricFleetWorkerCellsPrefix)
-		if !ok {
-			continue
-		}
-		name = strings.TrimSuffix(name, ".cells_done")
-		workers = append(workers, wc{name, g.Value})
-		if g.Value > max {
-			max = g.Value
-		}
-	}
-	if len(workers) == 0 {
-		return
-	}
-	sort.Slice(workers, func(i, j int) bool { return workers[i].name < workers[j].name })
-	b.WriteString("\nWORKER BALANCE (cells done)\n")
-	for _, w := range workers {
-		width := 0
-		if max > 0 {
-			width = int(w.cells / max * 30)
-		}
-		fmt.Fprintf(b, "%-20s %6.0f %s\n", clip(w.name, 20), w.cells, strings.Repeat("#", width))
-	}
-}
-
-func renderFleet(b *strings.Builder, st *fleet.Status) {
-	b.WriteString("\nFLEET BUILD\n")
-	done := 0.0
-	if st.Cells > 0 {
-		done = float64(st.Done) / float64(st.Cells)
-	}
-	bar := int(done * 30)
-	fmt.Fprintf(b, "  [%s%s] %d/%d cells", strings.Repeat("=", bar), strings.Repeat(" ", 30-bar), st.Done, st.Cells)
-	if st.BuildDone {
-		b.WriteString("  DONE")
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(b, "  leased %d  pending %d  failed %d  steals %d  lost %d  dup %d  bad %d\n",
-		st.Leased, st.Pending, st.Failed, st.Steals, st.Lost, st.Dups, st.Bad)
-	if len(st.Workers) > 0 {
-		names := make([]string, 0, len(st.Workers))
-		for n := range st.Workers {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(b, "  worker %-20s %d cells\n", clip(n, 20), st.Workers[n])
-		}
 	}
 }
 

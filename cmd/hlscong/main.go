@@ -22,9 +22,7 @@
 //	generalize                                   leave-one-design-out accuracy
 //	build                                        build the labelled dataset and
 //	                                             write its canonical encoded
-//	                                             artifact (-out); locally, or
-//	                                             coordinating a worker fleet
-//	                                             with -serve-builds
+//	                                             artifact (-out)
 //
 // Flags:
 //
@@ -55,31 +53,14 @@
 //	             serve /debug/metrics, /debug/trace and /debug/vars on A
 //	             (e.g. localhost:6060) for the duration of the run
 //
-// Fleet flags (distributed dataset builds; see DESIGN.md §11):
+// Build flags:
 //
-//	-serve-builds A
-//	             with the build command: serve the cell grid as a
-//	             work-stealing queue on A (e.g. 127.0.0.1:0) and let
-//	             joined workers run the flows; the artifact is
-//	             byte-identical to a local -workers 1 build
-//	-join A      run as a fleet worker: pull cells from the coordinator
-//	             at A until the build completes (no command argument)
-//	-fleet-name S
-//	             worker name for lease ownership and per-worker metrics
-//	             (default worker-<pid>)
-//	-fleet-lease D
-//	             coordinator lease TTL: a cell unresolved this long is
-//	             re-queued and its worker counted lost (default 30s)
-//	-fleet-addr-file F
-//	             coordinator writes its bound address to F (for scripts
-//	             that bind port 0)
 //	-modules M1,M2
-//	             build: comma-separated benchmark names (default: the
-//	             paper's three training implementations)
+//	             comma-separated benchmark names (default: the paper's
+//	             three training implementations)
 //	-label-runs N
-//	             build: placement seeds averaged per label (default 3)
-//	-moves N     build: placer move budget override (0 = default)
-//	-out F       build: write the encoded dataset artifact to F
+//	             placement seeds averaged per label (default 3)
+//	-out F       write the encoded dataset artifact to F
 //
 // Any of the four observability flags arms the observer; an end-of-run
 // per-stage wall-time summary is then printed to stderr. With none set the
@@ -133,18 +114,12 @@ func realMain() (code int) {
 	metricsFile := flag.String("metrics", "", "write a JSON metrics snapshot to this file")
 	logLevel := flag.String("log-level", "", "structured logs to stderr: debug|info|warn|error")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/{metrics,trace,vars} on this address")
-	var ff fleetFlags
-	flag.StringVar(&ff.serveBuilds, "serve-builds", "", "with `build`: coordinate a worker fleet on this address")
-	flag.StringVar(&ff.join, "join", "", "run as a fleet worker pulling cells from this coordinator address")
-	flag.DurationVar(&ff.leaseTTL, "fleet-lease", 30*time.Second, "coordinator lease TTL before a cell is re-queued")
-	flag.StringVar(&ff.name, "fleet-name", "", "worker name (default worker-<pid>)")
-	flag.StringVar(&ff.addrFile, "fleet-addr-file", "", "coordinator writes its bound address to this file")
-	flag.StringVar(&ff.modules, "modules", "", "build: comma-separated benchmark names (default: training set)")
-	flag.IntVar(&ff.labelRuns, "label-runs", 0, "build: placement seeds averaged per label (0 = paper default)")
-	flag.IntVar(&ff.moves, "moves", 0, "build: placer move budget override (0 = default)")
-	flag.StringVar(&ff.out, "out", "", "build: write the encoded dataset artifact to this file")
+	var bf buildFlags
+	flag.StringVar(&bf.modules, "modules", "", "build: comma-separated benchmark names (default: training set)")
+	flag.IntVar(&bf.labelRuns, "label-runs", 0, "build: placement seeds averaged per label (0 = paper default)")
+	flag.StringVar(&bf.out, "out", "", "build: write the encoded dataset artifact to this file")
 	flag.Parse()
-	if n := flag.NArg(); (ff.join == "" && n != 1) || (ff.join != "" && n != 0) {
+	if flag.NArg() != 1 {
 		flag.Usage()
 		return 2
 	}
@@ -289,15 +264,10 @@ func realMain() (code int) {
 		}()
 	}
 
-	ff.breachDir = *storeDir // breach captures live with the build artifacts
-
 	var err error
-	switch {
-	case ff.join != "":
-		err = runWorker(ctx, ff, cfg.Flow.Cache, o)
-	case flag.Arg(0) == "build":
-		err = runBuild(ctx, cfg, ff)
-	default:
+	if flag.Arg(0) == "build" {
+		err = runBuild(ctx, cfg, bf)
+	} else {
 		err = run(cfg, flag.Arg(0), *design)
 	}
 	if err != nil {

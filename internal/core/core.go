@@ -275,14 +275,6 @@ func BuildDatasetRuns(mods []*ir.Module, cfg flow.Config, labelRuns int) (*datas
 // sequential reduce over the per-cell results, so any worker count yields
 // byte-identical output (see TestBuildDatasetDeterministicAcrossWorkers).
 func BuildDatasetContext(ctx context.Context, mods []*ir.Module, cfg flow.Config, opts BuildOptions) (*dataset.Dataset, []*flow.Result, *BuildSummary, error) {
-	return buildDataset(ctx, mods, cfg, opts, nil)
-}
-
-// buildDataset is the shared build pipeline: checkpoint restore, cell
-// execution (the internal worker pool when exec is nil, the caller's
-// CellExecutor otherwise — see BuildDatasetExec), and the index-ordered
-// assembly that makes the output independent of how cells were scheduled.
-func buildDataset(ctx context.Context, mods []*ir.Module, cfg flow.Config, opts BuildOptions, exec CellExecutor) (*dataset.Dataset, []*flow.Result, *BuildSummary, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -322,12 +314,7 @@ func buildDataset(ctx context.Context, mods []*ir.Module, cfg flow.Config, opts 
 		}
 	}
 
-	var cells []runCell
-	if exec == nil {
-		cells = runCells(ctx, mods, cfg, labelRuns, opts, done)
-	} else {
-		cells = execCells(ctx, mods, cfg, labelRuns, done, exec)
-	}
+	cells := runCells(ctx, mods, cfg, labelRuns, opts, done)
 
 	var results []*flow.Result
 	sum := &BuildSummary{Modules: len(mods)}
@@ -393,6 +380,21 @@ func samplesFitLayout(samples []*dataset.Sample, cols int) bool {
 		}
 	}
 	return true
+}
+
+// cellSeedStride separates the placement seeds of a module's label runs; a
+// large prime keeps re-rolled retry seeds (flow.RetryPolicy.SeedStride)
+// from colliding with neighbor runs.
+const cellSeedStride = 7919
+
+// CellConfig returns the exact flow configuration label run `run` of a
+// build with base config cfg executes: the placement seed is derived from
+// the run position alone, never from scheduling, which is what makes every
+// worker count produce the same per-cell outcome.
+func CellConfig(cfg flow.Config, run int) flow.Config {
+	runCfg := cfg
+	runCfg.Seed = cfg.Seed + int64(run)*cellSeedStride
+	return runCfg
 }
 
 // runCell is the outcome of one (module, label-run) flow execution.

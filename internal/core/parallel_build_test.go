@@ -128,3 +128,21 @@ func TestBuildDatasetParallelCancellation(t *testing.T) {
 		t.Fatalf("cancelled build kept results: %d results, %+v", len(results), sum)
 	}
 }
+
+// TestCellConfigSeedDerivation pins the per-run seed derivation the
+// worker pool and perfbench's replay share: base + run*7919, everything
+// else untouched.
+func TestCellConfigSeedDerivation(t *testing.T) {
+	cfg := quickFlow()
+	cfg.Seed = 42
+	for run := 0; run < 4; run++ {
+		rc := CellConfig(cfg, run)
+		if want := int64(42 + run*7919); rc.Seed != want {
+			t.Fatalf("run %d: seed %d, want %d", run, rc.Seed, want)
+		}
+		rc.Seed = cfg.Seed
+		if rc != cfg {
+			t.Fatalf("run %d: CellConfig changed fields other than Seed", run)
+		}
+	}
+}

@@ -69,11 +69,8 @@ func (p RetryPolicy) Attempts() int {
 }
 
 // Escalate derives the config for a given zero-based attempt. It is
-// exported so remote executors can reproduce the escalation a worker's
-// RunWithRetry performs — the fleet coordinator accepts a completion whose
-// artifact hashes to the cache key of any attempt's config, since a cell
-// that fails transiently succeeds under an escalated config, not the base
-// one.
+// exported so a caller that replays a build's flow runs (perfbench's
+// train workload) reproduces the exact escalation RunWithRetry performs.
 func (p RetryPolicy) Escalate(cfg Config, attempt int) Config {
 	cfg.Attempt = attempt
 	if attempt == 0 {

@@ -17,7 +17,7 @@ import (
 //   - P99Above fires when the metric's histogram window p99 exceeds the
 //     threshold (ignoring empty windows) — "p99 spiked past 5ms".
 //   - DeltaAtLeast fires when the metric's counter grew by at least that
-//     much within one window — "a worker lease expired".
+//     much within one window — "a reload was rejected".
 type BreachRule struct {
 	Metric       string
 	P99Above     float64

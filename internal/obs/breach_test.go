@@ -64,18 +64,18 @@ func TestBreachCaptureAndRateLimit(t *testing.T) {
 	}
 }
 
-// Counter-delta rules (fleet.worker_lost) fire on window growth, not on
-// lifetime totals.
+// Counter-delta rules fire on window growth, not on lifetime totals.
 func TestBreachCounterDelta(t *testing.T) {
+	const errs = "app.errors"
 	dir := t.TempDir()
 	reg := NewRegistry()
 	clk := newTestClock()
 	rec := NewRecorder(reg, RecorderOptions{Now: clk.now})
-	w := NewBreachWatcher(rec, []BreachRule{{Metric: MetricFleetWorkerLost, DeltaAtLeast: 1}},
+	w := NewBreachWatcher(rec, []BreachRule{{Metric: errs, DeltaAtLeast: 1}},
 		BreachOptions{Dir: dir, CPUProfile: -1, Now: clk.now})
 
-	reg.Counter(MetricFleetWorkerLost).Add(5) // pre-existing losses
-	rec.Sample()                              // first sample: delta 0, no breach
+	reg.Counter(errs).Add(5) // pre-existing errors
+	rec.Sample()             // first sample: delta 0, no breach
 	if w.Captures() != 0 {
 		t.Fatalf("first sample captured on lifetime total: %d", w.Captures())
 	}
@@ -86,11 +86,11 @@ func TestBreachCounterDelta(t *testing.T) {
 		t.Fatalf("idle window captured: %d", w.Captures())
 	}
 
-	reg.Counter(MetricFleetWorkerLost).Inc()
+	reg.Counter(errs).Inc()
 	clk.advance(time.Second)
 	rec.Sample()
 	if w.Captures() != 1 {
-		t.Errorf("captures = %d, want 1 after a lost worker", w.Captures())
+		t.Errorf("captures = %d, want 1 after a new error", w.Captures())
 	}
 }
 

@@ -22,12 +22,6 @@ import (
 // fixed order by hand, and no wall-clock reading happens here — all
 // timestamps come from the tracer's epoch-relative offsets, so a fixed
 // test clock yields a byte-stable file (the golden-file test pins this).
-//
-// Spans tagged with a Proc (imported from another process, see
-// Tracer.Import) render under their own pid with a process_name metadata
-// record, so a stitched fleet trace shows one lane per worker. Purely
-// local span sets produce exactly the pre-stitching output: pid 1
-// throughout and no metadata events.
 func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 	ordered := make([]SpanData, len(spans))
 	copy(ordered, spans)
@@ -47,40 +41,16 @@ func WriteChromeTrace(w io.Writer, spans []SpanData) error {
 		}
 	}
 
-	// Lanes: the local process is pid 1; each distinct imported Proc gets
-	// the next pid in first-appearance order of the sorted events.
-	pid := map[string]int{"": 1}
-	var procs []string
-	for _, s := range ordered {
-		if _, ok := pid[s.Proc]; !ok {
-			pid[s.Proc] = len(pid) + 1
-			procs = append(procs, s.Proc)
-		}
-	}
-
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"traceEvents":[`)
-	first := true
-	for _, p := range procs {
-		if !first {
+	for i, s := range ordered {
+		if i > 0 {
 			bw.WriteString(",\n")
 		}
-		first = false
-		bw.WriteString(`{"name":"process_name","ph":"M","pid":`)
-		bw.WriteString(strconv.Itoa(pid[p]))
-		bw.WriteString(`,"args":{"name":`)
-		bw.Write(jsonString(p))
-		bw.WriteString(`}}`)
-	}
-	for _, s := range ordered {
-		if !first {
-			bw.WriteString(",\n")
-		}
-		first = false
-		writeCompleteEvent(bw, s, pid[s.Proc], tid[s.RootID])
+		writeCompleteEvent(bw, s, tid[s.RootID])
 		for _, e := range s.Events {
 			bw.WriteString(",\n")
-			writeInstantEvent(bw, e, pid[s.Proc], tid[s.RootID])
+			writeInstantEvent(bw, e, tid[s.RootID])
 		}
 	}
 	bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
@@ -93,19 +63,19 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return WriteChromeTrace(w, t.Spans())
 }
 
-func writeCompleteEvent(bw *bufio.Writer, s SpanData, pid, tid int) {
+func writeCompleteEvent(bw *bufio.Writer, s SpanData, tid int) {
 	bw.WriteString(`{"name":`)
 	bw.Write(jsonString(s.Name))
-	fmt.Fprintf(bw, `,"ph":"X","ts":%d,"dur":%d,"pid":%d,"tid":%d`,
-		micros(s.Start), micros(s.End-s.Start), pid, tid)
+	fmt.Fprintf(bw, `,"ph":"X","ts":%d,"dur":%d,"pid":1,"tid":%d`,
+		micros(s.Start), micros(s.End-s.Start), tid)
 	writeArgs(bw, s.Attrs)
 	bw.WriteByte('}')
 }
 
-func writeInstantEvent(bw *bufio.Writer, e EventData, pid, tid int) {
+func writeInstantEvent(bw *bufio.Writer, e EventData, tid int) {
 	bw.WriteString(`{"name":`)
 	bw.Write(jsonString(e.Name))
-	fmt.Fprintf(bw, `,"ph":"i","ts":%d,"pid":%d,"tid":%d,"s":"t"`, micros(e.At), pid, tid)
+	fmt.Fprintf(bw, `,"ph":"i","ts":%d,"pid":1,"tid":%d,"s":"t"`, micros(e.At), tid)
 	writeArgs(bw, e.Attrs)
 	bw.WriteByte('}')
 }

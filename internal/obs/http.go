@@ -7,22 +7,19 @@ import (
 	"time"
 )
 
-// Timeouts of every HTTP listener in the repo (the debug endpoint, the
-// serving daemon and the fleet coordinator). ReadHeaderTimeout bounds how
-// long a connection may take to deliver its request headers, so a client
-// that trickles half a header line (slowloris) cannot hold a goroutine and
-// a descriptor forever. ReadTimeout does the same for a client that sends
-// its headers and then trickles the body: it bounds the whole request,
-// and allows the serving daemon's largest body (16 MiB) at
-// minBodyRate, 1 MiB/s (8 Mbit/s), after the headers' own allowance. A
-// fleet completion (at most 64 MiB) must arrive at about 4 MiB/s, which a
-// coordinator's loopback or LAN link clears by far. (net/http also
-// cancels the request context of a handler still running when
-// ReadTimeout passes; no handler behind these listeners watches it.)
-// IdleTimeout closes
-// keep-alive connections that stop sending requests. There is
-// deliberately no WriteTimeout: debug profiles and fleet leases
-// legitimately take long to answer.
+// Timeouts of every HTTP listener in the repo (the debug endpoint and the
+// serving daemon). ReadHeaderTimeout bounds how long a connection may
+// take to deliver its request headers, so a client that trickles half a
+// header line (slowloris) cannot hold a goroutine and a descriptor
+// forever. ReadTimeout does the same for a client that sends its headers
+// and then trickles the body: it bounds the whole request, and allows the
+// serving daemon's largest body (16 MiB) at minBodyRate, 1 MiB/s
+// (8 Mbit/s), after the headers' own allowance. (net/http also cancels
+// the request context of a handler still running when ReadTimeout
+// passes; no handler behind these listeners watches it.) IdleTimeout
+// closes keep-alive connections that stop sending requests. There is
+// deliberately no WriteTimeout: a long build's /debug/trace export to a
+// slow reader legitimately takes long to answer.
 const (
 	readHeaderTimeout = 5 * time.Second
 	minBodyRate       = 1 << 20 // bytes per second

@@ -94,28 +94,4 @@ const (
 	// the old model left serving.
 	MetricServeReloads      = "serve.reloads"
 	MetricServeReloadErrors = "serve.reload_errors"
-
-	// MetricFleetCellsDone counts grid cells the coordinator accepted a
-	// verified result for (each cell counted once — duplicate completions
-	// don't inflate it); MetricFleetCellsFailed cells reported terminally
-	// failed by a worker.
-	MetricFleetCellsDone   = "fleet.cells_done"
-	MetricFleetCellsFailed = "fleet.cells_failed"
-	// MetricFleetSteals counts in-flight leases re-issued to another
-	// worker (work stealing); MetricFleetWorkerLost lease expiries — a
-	// worker that went silent past its lease deadline.
-	MetricFleetSteals     = "fleet.steal"
-	MetricFleetWorkerLost = "fleet.worker_lost"
-	// MetricFleetDupComplete counts completions for cells that already
-	// had a verified result (the idempotency path);
-	// MetricFleetBadComplete completions whose payload failed
-	// verification against the cell's cache key and were rejected.
-	MetricFleetDupComplete = "fleet.dup_complete"
-	MetricFleetBadComplete = "fleet.bad_complete"
-	// MetricFleetWorkers is the number of distinct workers that have
-	// leased work so far (gauge).
-	MetricFleetWorkers = "fleet.workers"
-	// MetricFleetWorkerCellsPrefix prefixes the per-worker completed-cell
-	// throughput gauges: fleet.worker.<name>.cells_done.
-	MetricFleetWorkerCellsPrefix = "fleet.worker."
 )

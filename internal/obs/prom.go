@@ -10,7 +10,7 @@ import (
 
 // WritePrometheus renders a metrics snapshot in the Prometheus text
 // exposition format (version 0.0.4), so any standard scraper can pull
-// congserve or a fleet coordinator without a sidecar:
+// congserve or an hlscong -debug-addr endpoint without a sidecar:
 //
 //	# TYPE serve_requests counter
 //	serve_requests 1234

@@ -99,12 +99,12 @@ func TestPromSnapshotUnderTraffic(t *testing.T) {
 
 func TestPromNameSanitize(t *testing.T) {
 	cases := map[string]string{
-		"serve.latency_us":          "serve_latency_us",
-		"fleet.worker.A.cells_done": "fleet_worker_A_cells_done",
-		"9lives":                    "_9lives",
-		"ok:colon":                  "ok:colon",
-		"":                          "_",
-		"sp ace":                    "sp_ace",
+		"serve.latency_us":      "serve_latency_us",
+		"serve.lane.A.requests": "serve_lane_A_requests",
+		"9lives":                "_9lives",
+		"ok:colon":              "ok:colon",
+		"":                      "_",
+		"sp ace":                "sp_ace",
 	}
 	for in, want := range cases {
 		if got := promName(in); got != want {

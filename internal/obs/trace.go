@@ -40,15 +40,10 @@ type SpanData struct {
 	ParentID int64 // 0 for root spans
 	RootID   int64 // track grouping: the top-level ancestor's ID
 	Name     string
-	// Proc is the originating process lane, set by Tracer.Import when a
-	// span arrived from another process ("" for locally recorded spans).
-	// The Chrome exporter renders each distinct Proc as its own pid, so a
-	// stitched fleet trace shows one lane per worker.
-	Proc   string
-	Start  time.Duration
-	End    time.Duration
-	Attrs  []Attr
-	Events []EventData
+	Start    time.Duration
+	End      time.Duration
+	Attrs    []Attr
+	Events   []EventData
 }
 
 // Span is one in-flight operation. Spans form a hierarchy via Child and
@@ -100,16 +95,6 @@ func (s *Span) SetError(err error) {
 		return
 	}
 	s.data.Attrs = append(s.data.Attrs, String("error", err.Error()))
-}
-
-// SpanID returns the span's tracer-local ID (0 for a nil span) — the
-// value a coordinator puts in the propagation header so remote children
-// can be re-parented under it on import.
-func (s *Span) SpanID() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.data.ID
 }
 
 // End finishes the span and hands it to the tracer. Safe to call more than
@@ -187,85 +172,6 @@ func (t *Tracer) finish(d SpanData) {
 	t.mu.Lock()
 	t.spans = append(t.spans, d)
 	t.mu.Unlock()
-}
-
-// EpochWall returns the wall-clock instant of the trace epoch — the first
-// clock reading — and whether the epoch has been armed yet. Two tracers on
-// the same host are stitched by shifting one's offsets by the difference of
-// their epochs (see Import). Nil-safe.
-func (t *Tracer) EpochWall() (time.Time, bool) {
-	if t == nil {
-		return time.Time{}, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.epoch, t.epochSet
-}
-
-// Import splices spans recorded by another tracer (typically another
-// process, decoded from a SpanBatch) into this one:
-//
-//   - IDs are remapped into this tracer's ID space so they never collide
-//     with local spans.
-//   - Spans whose parent is inside the batch keep their (remapped) parent;
-//     batch roots are re-parented under parent when it is non-nil, so a
-//     worker's flow spans hang off the coordinator's build span.
-//   - Offsets are shifted by shift — the remote epoch minus the local one —
-//     translating remote epoch-relative times into local ones; results are
-//     clamped at zero so clock skew can never produce negative timestamps.
-//   - Proc tags every imported span, giving it its own lane (pid) in the
-//     Chrome export.
-//
-// RootID is remapped within the batch (each remote root keeps its own
-// track) rather than inherited from parent, so a stitched trace renders
-// each worker's concurrent flow runs on separate rows. Nil-safe.
-func (t *Tracer) Import(spans []SpanData, proc string, parent *Span, shift time.Duration) {
-	if t == nil || len(spans) == 0 {
-		return
-	}
-	var parentID int64
-	if parent != nil {
-		parentID = parent.data.ID
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	idMap := make(map[int64]int64, len(spans))
-	for i := range spans {
-		t.nextID++
-		idMap[spans[i].ID] = t.nextID
-	}
-	for _, s := range spans {
-		d := s
-		d.ID = idMap[s.ID]
-		if mapped, ok := idMap[s.ParentID]; ok {
-			d.ParentID = mapped
-		} else {
-			d.ParentID = parentID
-		}
-		if mapped, ok := idMap[s.RootID]; ok {
-			d.RootID = mapped
-		} else {
-			d.RootID = d.ID
-		}
-		d.Proc = proc
-		d.Start = clampNonNeg(s.Start + shift)
-		d.End = clampNonNeg(s.End + shift)
-		if len(s.Events) > 0 {
-			d.Events = make([]EventData, len(s.Events))
-			for i, e := range s.Events {
-				e.At = clampNonNeg(e.At + shift)
-				d.Events[i] = e
-			}
-		}
-		t.spans = append(t.spans, d)
-	}
-}
-
-func clampNonNeg(d time.Duration) time.Duration {
-	if d < 0 {
-		return 0
-	}
-	return d
 }
 
 // Spans returns a snapshot of every finished span, in completion order.

@@ -233,11 +233,11 @@ type state struct {
 	// HPWL weights, committed boxes and the boxes pending from the last
 	// moveDelta. Contiguous values keep the annealer's inner loop on a
 	// few cache lines instead of chasing per-net heap objects.
-	netCells [][]int
-	weights  []float64
-	boxes    []bbox
-	pends    []bbox
-	cellNets [][]int // net indices per cell
+	netCells  [][]int
+	weights   []float64
+	boxes     []bbox
+	pends     []bbox
+	cellNets  [][]int // net indices per cell
 	binsX     int
 	binsY     int
 	binOcc    []float64

@@ -145,7 +145,7 @@ func TestEncodeRejectsIncompleteResults(t *testing.T) {
 	incomplete := []*flow.Result{
 		nil,
 		{},
-		{Mod: res.Mod, Config: res.Config},                           // no placement
+		{Mod: res.Mod, Config: res.Config}, // no placement
 		{Mod: res.Mod, Config: res.Config, Placement: res.Placement}, // no routing
 	}
 	for i, r := range incomplete {

@@ -57,8 +57,8 @@ type Options struct {
 	// first.
 	MaxBytes int64
 	// EvictGrace exempts entries touched within this window from
-	// eviction, so a concurrent reader in another process (a fleet worker
-	// sharing the store directory) never has a just-written or
+	// eviction, so a concurrent reader in another process (a second
+	// hlscong run on the same -store-dir) never has a just-written or
 	// just-touched entry yanked out from under it. The budget may
 	// overshoot while every entry is inside the grace window; it is
 	// re-enforced as entries age. 0 disables the exemption.
@@ -349,7 +349,7 @@ func (s *Store) faultedWrite(w io.Writer, data []byte) error {
 // under MaxBytes. Called with mu held.
 //
 // Two guards protect concurrent readers in other processes sharing the
-// directory (the fleet's shared-store deployment):
+// directory (two runs pointed at one -store-dir):
 //
 //   - Entries touched within Options.EvictGrace are exempt, so an entry a
 //     sibling just Got (its Get touches the mtime) or just Put cannot

@@ -463,8 +463,8 @@ func TestConcurrentPutGet(t *testing.T) {
 }
 
 // TestConcurrentOpensEvictionRace is the regression test for the
-// cross-process eviction race: two Stores on one directory (modeling a
-// fleet worker and a coordinator sharing the artifact tier), where A's
+// cross-process eviction race: two Stores on one directory (modeling two
+// processes sharing the artifact tier), where A's
 // byte budget evicts an entry B still has indexed. B's Get must degrade to
 // a clean ErrNotFound miss — never a partial read, never a quarantine of a
 // phantom — and B's index must self-heal so its byte accounting matches
