@@ -71,6 +71,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/store"
 )
 
 func main() {
@@ -221,21 +222,6 @@ func trainQuickArtifact(o *obs.Observer, path, modules, kindName string, moves i
 	return nil
 }
 
-// writeFileAtomic publishes content via temp-file + rename, so a script
-// polling the path never reads a partially written file: rename within a
-// directory is atomic and readers see either nothing or the whole address.
-func writeFileAtomic(path string, content []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, content, 0o666); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
 // run serves until SIGINT/SIGTERM, hot-reloading on SIGHUP.
 func run(o *obs.Observer, addr, addrFile, debugAddr, model string, oc obsConfig) error {
 	s := serve.New(serve.Options{Obs: o})
@@ -270,7 +256,9 @@ func run(o *obs.Observer, addr, addrFile, debugAddr, model string, oc obsConfig)
 	}
 	bound := ln.Addr().String()
 	if addrFile != "" {
-		if err := writeFileAtomic(addrFile, []byte(bound+"\n")); err != nil {
+		// Published atomically, so a script polling the path never reads
+		// a partially written address.
+		if err := store.WriteFileAtomic(addrFile, []byte(bound+"\n")); err != nil {
 			ln.Close()
 			return fmt.Errorf("writing -addr-file: %w", err)
 		}

@@ -1,7 +1,8 @@
 // congtop is the terminal dashboard over the /debug observability
-// surface: it polls a congserve's /debug/metrics/history ring (sampled
-// every -history-interval) and repaints a live view of what the flight
-// recorder sees — counter rates, gauges, histogram window p50/p99.
+// surface: it polls a /debug/metrics/history ring (congserve samples it
+// every -history-interval, hlscong -debug-addr every second) and repaints
+// a live view of what the flight recorder sees — counter rates, gauges,
+// histogram window p50/p99.
 //
 // congtop reads the derived series the recorder already computed; it does
 // no rate math of its own, so what it shows is exactly what a breach
@@ -118,7 +119,9 @@ func renderFrame(addr string, hist *obs.RecorderHistory, err error) string {
 	case err != nil:
 		fmt.Fprintf(&b, "  (unreachable: %v)\n", err)
 	case hist == nil || len(hist.Samples) == 0:
-		b.WriteString("  (no samples yet — is the recorder running? -history-interval)\n")
+		// hlscong -debug-addr and congserve both sample once a second;
+		// congserve -history-interval 0 runs no recorder at all.
+		b.WriteString("  (no samples yet — the target's recorder has not sampled, or it runs none)\n")
 	default:
 		s := hist.Samples[len(hist.Samples)-1]
 		fmt.Fprintf(&b, "sample #%d  window %dms  ring %d/%d @ %dms\n",

@@ -6,7 +6,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"strings"
 
 	"repro/internal/bench"
@@ -44,7 +43,9 @@ func buildModules(names string) ([]*ir.Module, error) {
 }
 
 // runBuild executes the `build` command: construct the dataset over the
-// requested modules and write the canonical encoded artifact to -out.
+// requested modules and write the canonical encoded artifact to -out. The
+// artifact replaces -out atomically, and only when the build was not
+// cancelled; a cancelled build leaves -out as it was.
 func runBuild(ctx context.Context, cfg experiments.Config, bf buildFlags) error {
 	mods, err := buildModules(bf.modules)
 	if err != nil {
@@ -63,8 +64,16 @@ func runBuild(ctx context.Context, cfg experiments.Config, bf buildFlags) error 
 	fmt.Print(summary.Format())
 	fmt.Printf("dataset: %d samples, %d features\n", ds.Len(), len(ds.FeatureNames))
 	if bf.out != "" {
+		// A cancelled build holds only the modules that finished in time:
+		// writing it would replace a good artifact with a partial one.
+		if err := ctx.Err(); err != nil {
+			if buildErr == nil {
+				buildErr = err
+			}
+			return fmt.Errorf("build interrupted, %s not written: %w", bf.out, buildErr)
+		}
 		payload := store.EncodeDataset(ds)
-		if err := os.WriteFile(bf.out, payload, 0o644); err != nil {
+		if err := store.WriteFileAtomic(bf.out, payload); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d bytes to %s\n", len(payload), bf.out)

@@ -51,7 +51,8 @@
 //	-log-level L stream structured logs to stderr at debug|info|warn|error
 //	-debug-addr A
 //	             serve /debug/metrics, /debug/trace and /debug/vars on A
-//	             (e.g. localhost:6060) for the duration of the run
+//	             (e.g. localhost:6060) for the duration of the run, with
+//	             /debug/metrics/history sampled every second
 //
 // Build flags:
 //
@@ -214,14 +215,10 @@ func realMain() (code int) {
 	observing := *traceFile != "" || *metricsFile != "" || *logLevel != "" || *debugAddr != ""
 	var o *obs.Observer
 	if observing {
-		o = obs.New()
-		if *logLevel != "" {
-			lv, err := obs.ParseLevel(*logLevel)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "hlscong:", err)
-				return 2
-			}
-			o.Log = obs.NewLogger(os.Stderr, lv)
+		var err error
+		if o, err = newObserver(*logLevel, *debugAddr); err != nil {
+			fmt.Fprintln(os.Stderr, "hlscong:", err)
+			return 2
 		}
 		cfg.Flow.Obs = o
 		if cache != nil {
@@ -236,6 +233,8 @@ func realMain() (code int) {
 				return 1
 			}
 			fmt.Fprintf(os.Stderr, "hlscong: debug endpoint: http://%s/debug/metrics\n", addr)
+			o.Rec.Start()
+			defer o.Rec.Stop()
 		}
 		// SIGHUP flushes the exporters mid-run — a long dataset build can be
 		// inspected in chrome://tracing without waiting for (or killing) the
@@ -275,6 +274,26 @@ func realMain() (code int) {
 		return 1
 	}
 	return 0
+}
+
+// newObserver builds the run's observer from the observability flags. With
+// a debug address it also attaches a flight recorder, sampling at
+// congserve's default 1 s interval, so the endpoint's
+// /debug/metrics/history (and congtop pointed at it) has samples; the
+// caller starts and stops it.
+func newObserver(logLevel, debugAddr string) (*obs.Observer, error) {
+	o := obs.New()
+	if logLevel != "" {
+		lv, err := obs.ParseLevel(logLevel)
+		if err != nil {
+			return nil, err
+		}
+		o.Log = obs.NewLogger(os.Stderr, lv)
+	}
+	if debugAddr != "" {
+		o.Rec = obs.NewRecorder(o.Reg, obs.RecorderOptions{Interval: time.Second})
+	}
+	return o, nil
 }
 
 // writeObsOutputs exports the collected spans and metrics to the requested

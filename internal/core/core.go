@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/backtrace"
 	"repro/internal/dataset"
@@ -726,9 +727,10 @@ type OpPrediction struct {
 	AvgPct   float64
 }
 
-// predictChunk is how many ops PredictModule extracts before it predicts
-// them: the feature rows it holds stay a fixed 256 × 302 floats (about
-// 600 KB) whatever the design's size.
+// predictChunk is how many distinct feature rows PredictModule holds
+// before it predicts them: the rows stay a fixed 256 × 302 floats (about
+// 600 KB) whatever the design's size, and an op whose row is already held
+// takes no new row.
 const predictChunk = 256
 
 // PredictModule estimates per-operation congestion for a design running
@@ -737,45 +739,115 @@ const predictChunk = 256
 // point of the paper is that this call replaces hours of RTL
 // implementation.
 //
-// Extraction streams into prediction: each chunk of predictChunk ops is
-// extracted into one reused buffer and predicted before the next, so the
-// whole feature matrix never exists. Predictions are per row, so the
-// answers equal those of one batch over every op.
+// Extraction streams into prediction, and each distinct feature row is
+// evaluated once: every op is extracted into one reused buffer of
+// predictChunk rows, an op whose row the buffer already holds shares that
+// row, and the buffer is predicted whenever it is full of distinct rows,
+// and at the end. HLS designs repeat their ops through unrolled loops and
+// replicated units, so most ops share a row. Predictions are per row, so
+// the answers equal those of one batch over every op.
 func (p *Predictor) PredictModule(m *ir.Module, cfg flow.Config) ([]OpPrediction, error) {
+	ex, err := moduleExtractor(m, cfg)
+	if err != nil {
+		return nil, err
+	}
+	out, _, err := p.predictOps(ex, m.AllOps())
+	return out, err
+}
+
+// moduleExtractor runs the HLS front half PredictModule needs (schedule,
+// bind, graph) and returns the feature extractor over it.
+func moduleExtractor(m *ir.Module, cfg flow.Config) (*features.Extractor, error) {
 	sched, err := hls.ScheduleModule(m, cfg.Clock)
 	if err != nil {
 		return nil, fmt.Errorf("core: predict: %w", err)
 	}
 	bind := hls.BindModule(sched)
-	g := graph.Build(m, bind)
-	ex := features.NewExtractor(m, sched, bind, g, cfg.Dev)
-	ops := m.AllOps()
+	return features.NewExtractor(m, sched, bind, graph.Build(m, bind), cfg.Dev), nil
+}
+
+// predictOps predicts every op from its feature row, evaluating each
+// distinct row of a chunk once, and also returns how many rows it
+// evaluated.
+func (p *Predictor) predictOps(ex *features.Extractor, ops []*ir.Op) ([]OpPrediction, int, error) {
 	if len(ops) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	n := min(len(ops), predictChunk)
 	rows := ml.NewMatrix(n, features.NumFeatures).RowViews(nil)
 	vert := make([]float64, n)
 	horiz := make([]float64, n)
 	avg := make([]float64, n)
+	slots := make(rowSlots, n)
+	opSlot := make([]int32, len(ops))
 	out := make([]OpPrediction, len(ops))
-	for lo := 0; lo < len(ops); lo += n {
-		chunk := ops[lo:min(lo+n, len(ops))]
-		k := len(chunk)
-		for i, o := range chunk {
-			ex.VectorInto(rows[i], o)
-		}
-		if err := p.PredictBatchInto(vert[:k], horiz[:k], avg[:k], rows[:k]); err != nil {
+	// rows[:used] are the chunk's distinct rows; ops[done:] are the ops not
+	// yet answered, each reading its row from rows[opSlot[i]].
+	used, done, evaluated := 0, 0, 0
+	flush := func(end int) error {
+		if err := p.PredictBatchInto(vert[:used], horiz[:used], avg[:used], rows[:used]); err != nil {
 			// The extractor emits fixed-width vectors, so a shape error here
 			// means the predictor artifact and the library's feature layout
 			// have drifted apart.
-			return nil, fmt.Errorf("core: predict: %w", err)
+			return fmt.Errorf("core: predict: %w", err)
 		}
-		for i, o := range chunk {
-			out[lo+i] = OpPrediction{Op: o, VertPct: vert[i], HorizPct: horiz[i], AvgPct: avg[i]}
+		for i := done; i < end; i++ {
+			s := opSlot[i]
+			out[i] = OpPrediction{Op: ops[i], VertPct: vert[s], HorizPct: horiz[s], AvgPct: avg[s]}
+		}
+		evaluated += used
+		used, done = 0, end
+		clear(slots)
+		return nil
+	}
+	for i, o := range ops {
+		ex.VectorInto(rows[used], o)
+		s := slots.slot(rows, used)
+		opSlot[i] = int32(s)
+		if s < used {
+			continue // a repeated row: rows[used] is free for the next op
+		}
+		if used++; used == n {
+			if err := flush(i + 1); err != nil {
+				return nil, 0, err
+			}
 		}
 	}
-	return out, nil
+	if done < len(ops) {
+		if err := flush(len(ops)); err != nil {
+			return nil, 0, err
+		}
+	}
+	return out, evaluated, nil
+}
+
+// rowSlots finds the slot of PredictModule's chunk buffer that already
+// holds a feature row. Rows match on their exact float64 bits, not on ==,
+// so −0 and +0, or two NaN payloads, never share a slot: a shared slot
+// always holds the very row the op would have been predicted from.
+//
+// The keys are the rows' bytes viewed in place (rowKey), so the map
+// hashes and compares whole rows without copying them. A key aliases its
+// buffer row, which must not change while the key is in the map: a row
+// is only written while it is the free slot, and the map is cleared
+// before the buffer is refilled.
+type rowSlots map[string]int32
+
+// slot returns the slot s < k whose row has the bits of rows[k], or else k
+// itself, which it then records as the slot holding that row.
+func (rs rowSlots) slot(rows [][]float64, k int) int {
+	key := rowKey(rows[k])
+	if s, ok := rs[key]; ok {
+		return int(s)
+	}
+	rs[key] = int32(k)
+	return k
+}
+
+// rowKey views row's float64 bits as a string of 8 bytes per entry,
+// without copying: equal keys are equal bits.
+func rowKey(row []float64) string {
+	return unsafe.String((*byte)(unsafe.Pointer(unsafe.SliceData(row))), len(row)*8)
 }
 
 // Hotspot aggregates predicted congestion per source location — the

@@ -1,9 +1,11 @@
 package core
 
-// Tests for PredictModule's chunked extract-then-predict: its answers must
-// equal one whole-matrix batch bit for bit on both sides of every chunk
-// boundary, and one query must allocate less than the whole feature matrix
-// it no longer builds.
+// Tests for PredictModule's chunked, deduplicating extract-then-predict:
+// its answers must equal one whole-matrix batch bit for bit on both sides
+// of every chunk boundary, rows share a slot only when their bits are
+// equal, a replicated design evaluates only its distinct rows, and one
+// query must allocate less than the whole feature matrix it no longer
+// builds.
 
 import (
 	"bytes"
@@ -83,10 +85,15 @@ func TestPredictModuleChunksMatchWholeMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	nn, err := Train(batchDataset(60, 3), TrainOptions{Kind: ANN, Seed: 1, Size: SizeQuick})
+	if err != nil {
+		t.Fatal(err)
+	}
 	preds := []struct {
 		name string
 		p    *Predictor
-	}{{"kept gbrt", keptPredictor(t)}, {"linear", lin}}
+	}{{"kept gbrt", keptPredictor(t)}, {"linear", lin}, {"ann", nn}}
+	cfg := flow.DefaultConfig()
 	var mods []*ir.Module
 	for _, n := range []int{1, predictChunk - 1, predictChunk, predictChunk + 1, 2*predictChunk + 1} {
 		m := chainModule(n)
@@ -95,8 +102,13 @@ func TestPredictModuleChunksMatchWholeMatrix(t *testing.T) {
 		}
 		mods = append(mods, m)
 	}
+	// The longest chain must hold more than one chunk of distinct rows, or
+	// the mid-module flush never runs.
+	if rows := evaluatedRows(t, preds[0].p, mods[len(mods)-1], cfg); rows <= predictChunk {
+		t.Fatalf("chainModule(%d) evaluates %d rows, want more than predictChunk (%d)",
+			2*predictChunk+1, rows, predictChunk)
+	}
 	mods = append(mods, bench.FaceDetection(bench.NotInline()))
-	cfg := flow.DefaultConfig()
 	for _, pr := range preds {
 		for _, m := range mods {
 			got, err := pr.p.PredictModule(m, cfg)
@@ -116,6 +128,58 @@ func TestPredictModuleChunksMatchWholeMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// evaluatedRows is how many feature rows PredictModule evaluates for m.
+func evaluatedRows(t *testing.T, p *Predictor, m *ir.Module, cfg flow.Config) int {
+	t.Helper()
+	ex, err := moduleExtractor(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rows, err := p.predictOps(ex, m.AllOps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+func TestRowSlotsMatchExactBits(t *testing.T) {
+	nan1 := math.Float64frombits(0x7ff8000000000001)
+	nan2 := math.Float64frombits(0x7ff8000000000002)
+	rows := [][]float64{
+		{1, 2, 0},
+		{1, 2, math.Copysign(0, -1)}, // −0 where row 0 has +0
+		{1, nan1, 0},
+		{1, nan2, 0}, // another NaN payload
+		{1, 2, 0},    // row 0 again
+		{1, nan1, 0}, // row 2 again, same payload
+		{1, 2, math.Copysign(0, -1)},
+	}
+	want := []int{0, 1, 2, 3, 0, 2, 1}
+	rs := make(rowSlots)
+	for k := range rows {
+		if got := rs.slot(rows, k); got != want[k] {
+			t.Errorf("row %d %v: slot %d, want %d", k, rows[k], got, want[k])
+		}
+	}
+	clear(rs)
+	if got := rs.slot(rows, 4); got != 4 {
+		t.Errorf("after clear: slot %d, want the row's own 4", got)
+	}
+}
+
+// TestPredictModuleEvaluatesDistinctRows pins the saving the dedupe makes
+// on the replicated Face Detection design: its 6,642 ops have 55 distinct
+// feature rows, and those are all PredictModule evaluates.
+func TestPredictModuleEvaluatesDistinctRows(t *testing.T) {
+	m := bench.FaceDetection(bench.Replication())
+	if got := m.NumOps(); got != 6642 {
+		t.Fatalf("FaceDetection(Replication()) has %d ops, want 6642", got)
+	}
+	if got := evaluatedRows(t, keptPredictor(t), m, flow.DefaultConfig()); got != 55 {
+		t.Fatalf("PredictModule evaluated %d rows for %d ops, want 55", got, m.NumOps())
 	}
 }
 

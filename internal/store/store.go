@@ -562,6 +562,38 @@ func (s *Store) Corrupt(key string, cause error) {
 	s.quarantineLocked(path, key, cause)
 }
 
+// WriteFileAtomic replaces path with data (mode 0644) the way the store
+// writes its entries: a temp file in path's directory, fsync, rename,
+// directory fsync. A reader of path, or a crash at any point, sees either
+// the previous file or the whole new one, never a partial write.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	syncDir(dir)
+	return nil
+}
+
 // syncDir fsyncs a directory so a just-renamed entry survives power loss.
 // Best-effort: some filesystems reject directory fsync.
 func syncDir(dir string) {

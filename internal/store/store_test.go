@@ -586,3 +586,40 @@ func TestGetInjectedReadFaults(t *testing.T) {
 		t.Fatalf("%d files in quarantine, want 1", q)
 	}
 }
+
+// TestWriteFileAtomic: the file is replaced whole with mode 0644, no temp
+// file is left beside it, and a write into a missing directory fails.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "artifact")
+	if err := os.WriteFile(path, []byte("old contents, longer than the new"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "new" {
+		t.Fatalf("file holds %q, want %q", got, "new")
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Mode().Perm() != 0o644 {
+		t.Fatalf("mode %v, want 0644", fi.Mode().Perm())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("%d entries in the directory, want only the file", len(entries))
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, "missing", "x"), []byte("x")); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+}

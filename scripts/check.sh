@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Tier-1 verification: build, vet, gofmt-check, test, and race-test the
-# whole module, then the steps go test cannot take: benchmark and fuzz
-# smokes, repeated race runs, and the contracts that need real processes
-# (a live congserve, the hlscong dataset build at two worker counts). This
-# is the gate every PR must keep green (see ROADMAP.md).
+# whole module (vet and gofmt reach perfbench/ too), then the steps go
+# test cannot take: benchmark and fuzz smokes, repeated race runs, and the
+# contracts that need real processes (a live congserve, the hlscong
+# dataset build at two worker counts and cut short). This is the gate
+# every PR must keep green (see ROADMAP.md).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,11 +40,13 @@ go build ./...
 
 echo "== go vet =="
 go vet ./...
+# perfbench/ is a module of its own, so ./... above does not reach it.
+(cd perfbench && go vet .)
 
-# Every Go file of this module is gofmt-clean. perfbench/ is its own
-# module and is left out.
+# Every Go file of the repository, perfbench/ included, is gofmt-clean.
+# .bench_build/ is perfbench's build and module cache, not source.
 echo "== gofmt =="
-unformatted="$(find . -name '*.go' -not -path './perfbench/*' -exec gofmt -l {} +)"
+unformatted="$(find . -path ./.bench_build -prune -o -name '*.go' -exec gofmt -l {} +)"
 [ -z "$unformatted" ] || {
 	echo "FAIL: gofmt -l lists files that need formatting:"
 	echo "$unformatted"
@@ -256,7 +259,9 @@ grep -q '^{"rows":4,' "$S/drain.json" || {
 # report the dataset's pinned shape. (Row-level identity across worker
 # counts is pinned in-process by internal/core
 # TestBuildDatasetDeterministicAcrossWorkers; this covers the -out path.)
-echo "== hlscong build (1 vs 2 workers, byte-identical) =="
+# Then a rebuild cut short by -timeout must fail and leave the artifact
+# already at -out untouched.
+echo "== hlscong build (1 vs 2 workers, byte-identical; timed-out rebuild) =="
 B="$CHECK_TMP/build"
 mkdir "$B"
 for w in 1 2; do
@@ -269,6 +274,14 @@ for w in 1 2; do
 done
 cmp "$B/w1.art" "$B/w2.art" || {
 	echo "FAIL: -workers 2 artifact differs from the -workers 1 build"
+	exit 1
+}
+if "$CHECK_TMP/hlscong" -timeout 300ms -out "$B/w1.art" build > /dev/null 2>&1; then
+	echo "FAIL: a build cut short by -timeout 300ms exited 0"
+	exit 1
+fi
+cmp "$B/w1.art" "$B/w2.art" || {
+	echo "FAIL: a timed-out build overwrote its -out artifact"
 	exit 1
 }
 
