@@ -39,8 +39,9 @@ func Trace(res *flow.Result) []OpCongestion {
 	// the op ID out of the provenance name, mirroring the paper's
 	// get_nets/back-trace scripts.
 	opOfCell := make(map[*rtl.Cell][]*ir.Op)
-	byID := make(map[int]*ir.Op, res.Mod.NumOps())
-	for _, o := range res.Mod.AllOps() {
+	ops := res.Mod.AllOps()
+	byID := make(map[int]*ir.Op, len(ops))
+	for _, o := range ops {
 		byID[o.ID] = o
 	}
 	for _, n := range res.Netlist.Nets {
@@ -54,14 +55,14 @@ func Trace(res *flow.Result) []OpCongestion {
 	}
 	// Step 3 (HLS info): operations whose results never leave their cell
 	// have no provenance net; fall back to the binder's op->cell map.
-	covered := make(map[*ir.Op]bool)
-	for _, ops := range opOfCell {
-		for _, o := range ops {
-			covered[o] = true
+	covered := ir.NewOpTable[bool](res.Mod)
+	for _, traced := range opOfCell {
+		for _, o := range traced {
+			covered.Set(o, true)
 		}
 	}
-	for o, c := range res.Netlist.CellOf {
-		if !covered[o] {
+	for _, o := range ops {
+		if c, ok := res.Netlist.CellOf.Lookup(o); ok && !covered.Get(o) {
 			opOfCell[c] = append(opOfCell[c], o)
 		}
 	}

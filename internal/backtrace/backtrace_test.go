@@ -68,7 +68,7 @@ func TestTraceLabelsAreOnDieAndFinite(t *testing.T) {
 func TestTraceMatchesPlacedCells(t *testing.T) {
 	res := runSmall(t)
 	for _, tr := range Trace(res) {
-		cell := res.Netlist.CellOf[tr.Op]
+		cell := res.Netlist.CellOf.Get(tr.Op)
 		if cell == nil {
 			t.Fatalf("traced op %v has no cell", tr.Op)
 		}

@@ -262,7 +262,8 @@ func formatF(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
 // ReadCSV parses a dataset written by WriteCSV.
 func ReadCSV(r io.Reader) (*Dataset, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<22)
+	// The buffer grows from nil as lines need it, up to a 4 MiB line.
+	sc.Buffer(nil, 1<<22)
 	if !sc.Scan() {
 		return nil, fmt.Errorf("dataset: empty CSV")
 	}

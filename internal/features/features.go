@@ -146,7 +146,7 @@ func NewExtractor(m *ir.Module, s *hls.Schedule, b *hls.Binding, g *graph.Graph,
 		fi := &funcInfo{res: b.FuncBoundResources(f), mux: b.FuncMuxStats(f)}
 		worst := 0.0
 		for _, o := range f.Ops {
-			if d := s.Slots[o].FinishDelay; d > worst {
+			if d := s.Slots.Get(o).FinishDelay; d > worst {
 				worst = d
 			}
 		}
@@ -225,7 +225,7 @@ type aggregates struct {
 }
 
 func (e *Extractor) context(op *ir.Op) *opCtx {
-	node := e.Graph.OfOp[op]
+	node := e.Graph.OfOp.Get(op)
 	if node == nil {
 		panic(fmt.Sprintf("features: op %s missing from graph", op.Name))
 	}
@@ -293,23 +293,23 @@ func (e *Extractor) addDT(c *opCtx) {
 	for _, edge := range c.op.Operands {
 		mid := edge.Def
 		dt1 := float64(e.Sched.DeltaTcs(mid, c.op))
-		if dn := e.Graph.OfOp[mid]; dn != nil && dn != c.node {
+		if dn := e.Graph.OfOp.Get(mid); dn != nil && dn != c.node {
 			addPerType(&a.dtPredSum, &a.dtPredMax, dn.Res(), dt1)
 		}
 		for _, edge2 := range mid.Operands {
 			d2 := edge2.Def
-			if dn := e.Graph.OfOp[d2]; dn != nil && dn != c.node {
+			if dn := e.Graph.OfOp.Get(d2); dn != nil && dn != c.node {
 				addPerType(&a.dtPred2Sum, nil, dn.Res(), dt1+float64(e.Sched.DeltaTcs(d2, mid)))
 			}
 		}
 	}
 	for _, mid := range c.op.Users() {
 		dt1 := float64(e.Sched.DeltaTcs(c.op, mid))
-		if un := e.Graph.OfOp[mid]; un != nil && un != c.node {
+		if un := e.Graph.OfOp.Get(mid); un != nil && un != c.node {
 			addPerType(&a.dtSuccSum, &a.dtSuccMax, un.Res(), dt1)
 		}
 		for _, u2 := range mid.Users() {
-			if un := e.Graph.OfOp[u2]; un != nil && un != c.node {
+			if un := e.Graph.OfOp.Get(u2); un != nil && un != c.node {
 				addPerType(&a.dtSucc2Sum, nil, un.Res(), dt1+float64(e.Sched.DeltaTcs(mid, u2)))
 			}
 		}

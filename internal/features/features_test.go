@@ -293,7 +293,7 @@ func maxRes(nodes []*graph.Node, t int) float64 {
 func (e *Extractor) dtPred(c *opCtx, t int) (sum, max float64) {
 	for _, edge := range c.op.Operands {
 		d := edge.Def
-		dn := e.Graph.OfOp[d]
+		dn := e.Graph.OfOp.Get(d)
 		if dn == nil || dn == c.node {
 			continue
 		}
@@ -310,7 +310,7 @@ func (e *Extractor) dtPred(c *opCtx, t int) (sum, max float64) {
 // dtSucc sums resource/ΔTcs over the op's direct consumers.
 func (e *Extractor) dtSucc(c *opCtx, t int) (sum, max float64) {
 	for _, u := range c.op.Users() {
-		un := e.Graph.OfOp[u]
+		un := e.Graph.OfOp.Get(u)
 		if un == nil || un == c.node {
 			continue
 		}
@@ -333,7 +333,7 @@ func (e *Extractor) dtPred2(c *opCtx, t int) float64 {
 		dt1 := float64(e.Sched.DeltaTcs(mid, c.op))
 		for _, edge2 := range mid.Operands {
 			d2 := edge2.Def
-			dn := e.Graph.OfOp[d2]
+			dn := e.Graph.OfOp.Get(d2)
 			if dn == nil || dn == c.node {
 				continue
 			}
@@ -350,7 +350,7 @@ func (e *Extractor) dtSucc2(c *opCtx, t int) float64 {
 	for _, mid := range c.op.Users() {
 		dt1 := float64(e.Sched.DeltaTcs(c.op, mid))
 		for _, u2 := range mid.Users() {
-			un := e.Graph.OfOp[u2]
+			un := e.Graph.OfOp.Get(u2)
 			if un == nil || un == c.node {
 				continue
 			}

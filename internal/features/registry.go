@@ -188,10 +188,10 @@ func registerTiming() {
 		return float64(c.char.Latency)
 	})
 	register("timing_start_state", CatTiming, func(e *Extractor, c *opCtx) float64 {
-		return float64(e.Sched.Slots[c.op].Start)
+		return float64(e.Sched.Slots.Get(c.op).Start)
 	})
 	register("timing_finish_delay_ns", CatTiming, func(e *Extractor, c *opCtx) float64 {
-		return e.Sched.Slots[c.op].FinishDelay
+		return e.Sched.Slots.Get(c.op).FinishDelay
 	})
 }
 

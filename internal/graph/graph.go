@@ -9,7 +9,7 @@
 package graph
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/hls"
 	"repro/internal/ir"
@@ -72,14 +72,17 @@ type Edge struct {
 // Graph is the module-wide dependency graph.
 type Graph struct {
 	Nodes []*Node
-	OfOp  map[*ir.Op]*Node
+	OfOp  ir.OpTable[*Node]
 }
 
 // Build constructs the graph for a module. When binding is non-nil,
 // operations bound to one shared functional unit collapse into a combined
 // node; passing nil keeps one node per operation (the pre-merge graph).
 func Build(m *ir.Module, binding *hls.Binding) *Graph {
-	g := &Graph{OfOp: make(map[*ir.Op]*Node, m.NumOps())}
+	g := &Graph{OfOp: ir.NewOpTable[*Node](m)}
+	if binding != nil {
+		g.Nodes = make([]*Node, 0, len(binding.Units))
+	}
 
 	newNode := func(ops []*ir.Op) *Node {
 		n := &Node{ID: len(g.Nodes), Ops: ops, Kind: ops[0].Kind}
@@ -87,57 +90,77 @@ func Build(m *ir.Module, binding *hls.Binding) *Graph {
 			if o.Bitwidth > n.Bitwidth {
 				n.Bitwidth = o.Bitwidth
 			}
-			g.OfOp[o] = n
+			g.OfOp.Set(o, n)
 		}
 		n.res = hls.Characterize(n.Kind, n.Bitwidth).Res
 		g.Nodes = append(g.Nodes, n)
 		return n
 	}
 
+	ops := m.AllOps()
 	if binding != nil {
 		for _, u := range binding.Units {
 			newNode(u.Ops)
 		}
 		// Ops a binder never saw (none today, but keep the graph total).
-		for _, o := range m.AllOps() {
-			if g.OfOp[o] == nil {
+		for _, o := range ops {
+			if _, ok := g.OfOp.Lookup(o); !ok {
 				newNode([]*ir.Op{o})
 			}
 		}
 	} else {
-		for _, o := range m.AllOps() {
+		for _, o := range ops {
 			newNode([]*ir.Op{o})
 		}
 	}
 
 	// Edges: combine parallel dependences, drop self-loops created by
-	// merging.
-	type key struct{ from, to int }
-	wires := make(map[key]int)
-	for _, o := range m.AllOps() {
-		to := g.OfOp[o]
-		for _, e := range o.Operands {
-			from := g.OfOp[e.Def]
-			if from == nil || from == to {
-				continue
+	// merging. Each node sums its incoming wires per producer node in
+	// wires, indexed by node ID; touched[id] == to.ID+1 marks the producers
+	// the current node has seen. Every In list is in producer-ID order, and
+	// filling the Out lists from the In lists in node order puts every Out
+	// list in consumer-ID order.
+	wires := make([]int, len(g.Nodes))
+	touched := make([]int, len(g.Nodes))
+	outDeg := make([]int, len(g.Nodes))
+	var from []int
+	for _, to := range g.Nodes {
+		from = from[:0]
+		for _, o := range to.Ops {
+			for _, e := range o.Operands {
+				f, ok := g.OfOp.Lookup(e.Def)
+				if !ok || f == to {
+					continue
+				}
+				if touched[f.ID] != to.ID+1 {
+					touched[f.ID] = to.ID + 1
+					wires[f.ID] = 0
+					from = append(from, f.ID)
+				}
+				wires[f.ID] += e.Bits
 			}
-			wires[key{from.ID, to.ID}] += e.Bits
+		}
+		if len(from) == 0 {
+			continue
+		}
+		slices.Sort(from)
+		edges := make([]Edge, len(from))
+		to.In = make([]*Edge, len(from))
+		for i, id := range from {
+			edges[i] = Edge{From: g.Nodes[id], To: to, Wires: wires[id]}
+			to.In[i] = &edges[i]
+			outDeg[id]++
 		}
 	}
-	keys := make([]key, 0, len(wires))
-	for k := range wires {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
+	for _, n := range g.Nodes {
+		if outDeg[n.ID] > 0 {
+			n.Out = make([]*Edge, 0, outDeg[n.ID])
 		}
-		return keys[i].to < keys[j].to
-	})
-	for _, k := range keys {
-		e := &Edge{From: g.Nodes[k.from], To: g.Nodes[k.to], Wires: wires[k]}
-		e.From.Out = append(e.From.Out, e)
-		e.To.In = append(e.To.In, e)
+	}
+	for _, to := range g.Nodes {
+		for _, e := range to.In {
+			e.From.Out = append(e.From.Out, e)
+		}
 	}
 	return g
 }

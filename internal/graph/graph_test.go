@@ -25,11 +25,11 @@ func TestBuildUnmerged(t *testing.T) {
 	if len(g.Nodes) != m.NumOps() {
 		t.Fatalf("nodes = %d, want one per op (%d)", len(g.Nodes), m.NumOps())
 	}
-	np := g.OfOp[p]
+	np := g.OfOp.Get(p)
 	if np.FanOut() != 32+8 {
 		t.Errorf("port fanout = %d, want 40", np.FanOut())
 	}
-	nd := g.OfOp[d]
+	nd := g.OfOp.Get(d)
 	if nd.FanIn() != 32+8 {
 		t.Errorf("d fanin = %d, want 40", nd.FanIn())
 	}
@@ -86,7 +86,7 @@ func TestParallelEdgesCombine(t *testing.T) {
 	// add uses p twice -> one combined edge of weight 32.
 	add := b.Op(ir.KindAdd, 16, p, p)
 	g := Build(m, nil)
-	na := g.OfOp[add]
+	na := g.OfOp.Get(add)
 	if len(na.In) != 1 {
 		t.Fatalf("parallel edges not combined: %d", len(na.In))
 	}
@@ -98,7 +98,7 @@ func TestParallelEdgesCombine(t *testing.T) {
 func TestPortNodes(t *testing.T) {
 	m, p, _, _, _ := diamond()
 	g := Build(m, nil)
-	if !g.OfOp[p].IsPort() {
+	if !g.OfOp.Get(p).IsPort() {
 		t.Error("port op not flagged as port node")
 	}
 }
@@ -112,7 +112,7 @@ func TestNeighborsK(t *testing.T) {
 	b2 := bb.Op(ir.KindNot, 8, a)
 	c := bb.Op(ir.KindNot, 8, b2)
 	g := Build(m, nil)
-	na := g.OfOp[a]
+	na := g.OfOp.Get(a)
 	if got := len(na.NeighborsK(1, DirPred)); got != 1 {
 		t.Errorf("1-hop preds = %d", got)
 	}
@@ -134,7 +134,7 @@ func TestNeighborsK(t *testing.T) {
 func TestMaxEdge(t *testing.T) {
 	m, p, _, _, d := diamond()
 	g := Build(m, nil)
-	w, fi, fo := g.OfOp[d].MaxEdge()
+	w, fi, fo := g.OfOp.Get(d).MaxEdge()
 	if w != 32 {
 		t.Errorf("max edge = %d", w)
 	}
@@ -150,7 +150,7 @@ func TestMaxEdge(t *testing.T) {
 func TestEdgeStatsK(t *testing.T) {
 	m, p, _, _, _ := diamond()
 	g := Build(m, nil)
-	total, count, max := g.OfOp[p].EdgeStatsK(2)
+	total, count, max := g.OfOp.Get(p).EdgeStatsK(2)
 	// Diamond has 4 edges total: p->a (32), p->c (8), a->d (32), c->d (8).
 	if count != 4 {
 		t.Errorf("edge count = %d, want 4", count)

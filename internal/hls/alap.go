@@ -15,9 +15,9 @@ type Mobility struct {
 	Func *ir.Function
 	// ALAPStart is the latest start state of each op under the function's
 	// existing overall depth.
-	ALAPStart map[*ir.Op]int
+	ALAPStart ir.OpTable[int]
 	// Slack is ALAPStart - ASAP start, in control states.
-	Slack map[*ir.Op]int
+	Slack ir.OpTable[int]
 }
 
 // ComputeMobility derives the ALAP schedule and per-op slack from an
@@ -32,26 +32,27 @@ func (s *Schedule) ComputeMobility(f *ir.Function) *Mobility {
 	depth := fs.Steps - 1 // last usable state index
 	mob := &Mobility{
 		Func:      f,
-		ALAPStart: make(map[*ir.Op]int, len(f.Ops)),
-		Slack:     make(map[*ir.Op]int, len(f.Ops)),
+		ALAPStart: ir.NewOpTable[int](f.Module),
+		Slack:     ir.NewOpTable[int](f.Module),
 	}
 	// Walk in reverse creation order (reverse topological).
 	for i := len(f.Ops) - 1; i >= 0; i-- {
 		o := f.Ops[i]
-		slot := s.Slots[o]
+		slot := s.Slots.Get(o)
 		dur := slot.End - slot.Start
 		// Latest completion allowed by users: min over users of their ALAP
 		// start; sink ops may finish at the function's depth.
 		lateEnd := depth
 		for _, u := range o.Users() {
-			if ua, ok := mob.ALAPStart[u]; ok {
+			if ua, ok := mob.ALAPStart.Lookup(u); ok {
 				// The producer's result must exist when the user starts;
 				// chained combinational pairs share a state.
 				limit := ua
-				if dur > 0 || s.Slots[u].Start != s.Slots[u].End {
+				us := s.Slots.Get(u)
+				if dur > 0 || us.Start != us.End {
 					// Sequential boundary: finish strictly before the user
 					// starts unless they chain in the same state.
-					if s.Slots[u].Start > slot.End {
+					if us.Start > slot.End {
 						limit = ua - 1
 					}
 				}
@@ -64,8 +65,8 @@ func (s *Schedule) ComputeMobility(f *ir.Function) *Mobility {
 		if late < slot.Start {
 			late = slot.Start // never earlier than ASAP
 		}
-		mob.ALAPStart[o] = late
-		mob.Slack[o] = late - slot.Start
+		mob.ALAPStart.Set(o, late)
+		mob.Slack.Set(o, late-slot.Start)
 	}
 	return mob
 }
@@ -75,7 +76,7 @@ func (s *Schedule) ComputeMobility(f *ir.Function) *Mobility {
 func (m *Mobility) CriticalOps() []*ir.Op {
 	var out []*ir.Op
 	for _, o := range m.Func.Ops {
-		if m.Slack[o] == 0 {
+		if m.Slack.Get(o) == 0 {
 			out = append(out, o)
 		}
 	}
@@ -89,7 +90,7 @@ func (m *Mobility) MeanSlack() float64 {
 	}
 	total := 0
 	for _, o := range m.Func.Ops {
-		total += m.Slack[o]
+		total += m.Slack.Get(o)
 	}
 	return float64(total) / float64(len(m.Func.Ops))
 }

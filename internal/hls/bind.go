@@ -42,7 +42,7 @@ type MemBank struct {
 type Binding struct {
 	Sched  *Schedule
 	Units  []*FU
-	UnitOf map[*ir.Op]*FU
+	UnitOf ir.OpTable[*FU]
 	Muxes  []*Mux
 	Banks  []*MemBank
 	BankOf map[*ir.Array][]*MemBank
@@ -75,18 +75,20 @@ func MuxResources(inputs, width int) Resources {
 func BindModule(s *Schedule) *Binding {
 	b := &Binding{
 		Sched:  s,
-		UnitOf: make(map[*ir.Op]*FU, s.Mod.NumOps()),
+		UnitOf: ir.NewOpTable[*FU](s.Mod),
 		BankOf: make(map[*ir.Array][]*MemBank),
 	}
 	nextFU := 0
 	nextBank := 0
 	for _, f := range s.Mod.LiveFuncs() {
-		// busy[fu] = list of [start,end] intervals, kept only per function.
-		busy := make(map[*FU][]span)
+		// busy[u.ID-firstFU] lists unit u's [start,end] intervals; a
+		// function's units are numbered from firstFU up.
+		firstFU := nextFU
+		var busy [][]span
 		var candidates []*FU
 
 		for _, o := range s.SortedOps(f) {
-			slot := s.Slots[o]
+			slot := s.Slots.Get(o)
 			pipelined := false
 			for l := o.Loop; l != nil; l = l.Parent {
 				if l.Pipelined {
@@ -101,7 +103,7 @@ func BindModule(s *Schedule) *Binding {
 					if u.Kind != o.Kind || u.Width != bucket {
 						continue
 					}
-					if overlaps(busy[u], slot.Start, slot.End) {
+					if overlaps(busy[u.ID-firstFU], slot.Start, slot.End) {
 						continue
 					}
 					unit = u
@@ -121,6 +123,7 @@ func BindModule(s *Schedule) *Binding {
 					Res:   Characterize(o.Kind, width).Res,
 				}
 				nextFU++
+				busy = append(busy, nil)
 				b.Units = append(b.Units, unit)
 				if Sharable(o.Kind, o.Bitwidth) && !pipelined {
 					candidates = append(candidates, unit)
@@ -134,8 +137,8 @@ func BindModule(s *Schedule) *Binding {
 			if busyEnd > slot.Start {
 				busyEnd--
 			}
-			busy[unit] = append(busy[unit], span{slot.Start, busyEnd})
-			b.UnitOf[o] = unit
+			busy[unit.ID-firstFU] = append(busy[unit.ID-firstFU], span{slot.Start, busyEnd})
+			b.UnitOf.Set(o, unit)
 		}
 
 		for _, a := range f.Arrays {

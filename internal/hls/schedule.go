@@ -1,8 +1,9 @@
 package hls
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ir"
 )
@@ -38,12 +39,12 @@ type Schedule struct {
 	Mod   *ir.Module
 	Clock Clock
 	Alloc Allocation
-	Slots map[*ir.Op]OpSlot
+	Slots ir.OpTable[OpSlot]
 	Funcs map[*ir.Function]*FuncSchedule
 }
 
 // Slot returns the schedule slot of an op.
-func (s *Schedule) Slot(o *ir.Op) OpSlot { return s.Slots[o] }
+func (s *Schedule) Slot(o *ir.Op) OpSlot { return s.Slots.Get(o) }
 
 // DeltaTcs returns the paper's ΔTcs between a producer and a consumer: the
 // number of control states separating the producer's result from the
@@ -51,7 +52,7 @@ func (s *Schedule) Slot(o *ir.Op) OpSlot { return s.Slots[o] }
 // finite. Operations chained in the same state have the tightest possible
 // spatial constraint, ΔTcs = 1.
 func (s *Schedule) DeltaTcs(producer, consumer *ir.Op) int {
-	d := s.Slots[consumer].Start - s.Slots[producer].End
+	d := s.Slots.Get(consumer).Start - s.Slots.Get(producer).End
 	if d < 1 {
 		return 1
 	}
@@ -77,11 +78,14 @@ func ScheduleModuleAlloc(m *ir.Module, clock Clock, alloc Allocation) (*Schedule
 		Mod:   m,
 		Clock: clock,
 		Alloc: alloc,
-		Slots: make(map[*ir.Op]OpSlot, m.NumOps()),
+		Slots: ir.NewOpTable[OpSlot](m),
 		Funcs: make(map[*ir.Function]*FuncSchedule),
 	}
+	// pos holds each op's index in its function's op list. Op IDs are
+	// module-wide, so one table serves every function.
+	pos := ir.NewOpTable[int](m)
 	for _, f := range m.LiveFuncs() {
-		if err := s.scheduleFunc(f); err != nil {
+		if err := s.scheduleFunc(f, &pos); err != nil {
 			return nil, err
 		}
 	}
@@ -95,20 +99,19 @@ func ScheduleModuleAlloc(m *ir.Module, clock Clock, alloc Allocation) (*Schedule
 	return s, nil
 }
 
-func (s *Schedule) scheduleFunc(f *ir.Function) error {
+func (s *Schedule) scheduleFunc(f *ir.Function, pos *ir.OpTable[int]) error {
 	budget := s.Clock.Budget()
 	if budget <= 0 {
 		return fmt.Errorf("hls: clock budget %.2f ns is not positive", budget)
 	}
 	// Builders emit operands before users, so f.Ops is already topological;
 	// verify rather than trust.
-	pos := make(map[*ir.Op]int, len(f.Ops))
 	for i, o := range f.Ops {
-		pos[o] = i
+		pos.Set(o, i)
 	}
 	for _, o := range f.Ops {
 		for _, e := range o.Operands {
-			if pos[e.Def] >= pos[o] {
+			if pos.Get(e.Def) >= pos.Get(o) {
 				return fmt.Errorf("hls: function %q ops not topologically ordered (%s before %s)",
 					f.Name, o.Name, e.Def.Name)
 			}
@@ -126,7 +129,7 @@ func (s *Schedule) scheduleFunc(f *ir.Function) error {
 		state := 0
 		inDelay := 0.0
 		for _, e := range o.Operands {
-			dep := s.Slots[e.Def]
+			dep := s.Slots.Get(e.Def)
 			if dep.End > state {
 				state = dep.End
 				inDelay = dep.FinishDelay
@@ -157,7 +160,7 @@ func (s *Schedule) scheduleFunc(f *ir.Function) error {
 				slot = OpSlot{Start: start, End: start, FinishDelay: ch.DelayNS}
 			}
 		}
-		s.Slots[o] = slot
+		s.Slots.Set(o, slot)
 		if slot.End > maxEnd {
 			maxEnd = slot.End
 		}
@@ -237,7 +240,7 @@ func (s *Schedule) computeLatency(f *ir.Function) {
 			if !match(o) {
 				continue
 			}
-			sl := s.Slots[o]
+			sl := s.Slots.Get(o)
 			if minS < 0 || sl.Start < minS {
 				minS = sl.Start
 			}
@@ -328,13 +331,23 @@ func EstimateModuleResources(m *ir.Module) Resources {
 // SortedOps returns the function's ops ordered by (Start, ID) — the order
 // binding walks them.
 func (s *Schedule) SortedOps(f *ir.Function) []*ir.Op {
-	ops := append([]*ir.Op(nil), f.Ops...)
-	sort.Slice(ops, func(i, j int) bool {
-		a, b := s.Slots[ops[i]], s.Slots[ops[j]]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	type keyed struct {
+		start, id int
+		op        *ir.Op
+	}
+	ks := make([]keyed, len(f.Ops))
+	for i, o := range f.Ops {
+		ks[i] = keyed{s.Slots.Get(o).Start, o.ID, o}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
 		}
-		return ops[i].ID < ops[j].ID
+		return cmp.Compare(a.id, b.id)
 	})
+	ops := make([]*ir.Op, len(ks))
+	for i, k := range ks {
+		ops[i] = k.op
+	}
 	return ops
 }

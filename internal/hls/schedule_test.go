@@ -266,14 +266,14 @@ func TestComputeMobility(t *testing.T) {
 	}
 	// Every slack must be non-negative and ALAP >= ASAP.
 	for _, o := range m.Top.Ops {
-		if mob.Slack[o] < 0 {
+		if mob.Slack.Get(o) < 0 {
 			t.Fatalf("negative slack on %v", o)
 		}
-		if mob.ALAPStart[o] < s.Slots[o].Start {
+		if mob.ALAPStart.Get(o) < s.Slots.Get(o).Start {
 			t.Fatalf("ALAP before ASAP on %v", o)
 		}
 	}
-	if mob.Slack[side] == 0 {
+	if mob.Slack.Get(side) == 0 {
 		t.Error("side op should have mobility")
 	}
 	crit := mob.CriticalOps()
@@ -329,7 +329,7 @@ func TestAllocationLimitSerializes(t *testing.T) {
 		if o.Kind != ir.KindMul {
 			continue
 		}
-		sl := limited.Slots[o]
+		sl := limited.Slots.Get(o)
 		for st := sl.Start; st < sl.End; st++ {
 			occupancy[st]++
 			if occupancy[st] > 2 {
@@ -367,8 +367,8 @@ func TestAllocationUnlimitedByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range m.AllOps() {
-		if o.Kind == ir.KindMul && s.Slots[o].Start != 0 {
-			t.Fatalf("unconstrained mul delayed to state %d", s.Slots[o].Start)
+		if o.Kind == ir.KindMul && s.Slots.Get(o).Start != 0 {
+			t.Fatalf("unconstrained mul delayed to state %d", s.Slots.Get(o).Start)
 		}
 	}
 }

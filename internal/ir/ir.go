@@ -12,7 +12,9 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -411,14 +413,38 @@ func (m *Module) FuncByName(name string) *Function {
 
 // AllOps returns every operation in every live function, in ID order.
 func (m *Module) AllOps() []*Op {
-	var ops []*Op
+	// IDs are unique and below the ID counter in a valid module, so putting
+	// each op at its ID orders them in one pass. A module that breaks this
+	// (Validate would reject it) is sorted instead.
+	byID := make([]*Op, m.nextOpID)
 	for _, f := range m.Funcs {
 		if f.Inlined {
 			continue
 		}
-		ops = append(ops, f.Ops...)
+		for _, o := range f.Ops {
+			if uint(o.ID) >= uint(len(byID)) || byID[o.ID] != nil {
+				return m.sortedOps()
+			}
+			byID[o.ID] = o
+		}
 	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i].ID < ops[j].ID })
+	ops := byID[:0]
+	for _, o := range byID {
+		if o != nil {
+			ops = append(ops, o)
+		}
+	}
+	return ops
+}
+
+func (m *Module) sortedOps() []*Op {
+	ops := make([]*Op, 0, m.NumOps())
+	for _, f := range m.Funcs {
+		if !f.Inlined {
+			ops = append(ops, f.Ops...)
+		}
+	}
+	slices.SortStableFunc(ops, func(a, b *Op) int { return cmp.Compare(a.ID, b.ID) })
 	return ops
 }
 

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Textual IR: a line-oriented, human-readable serialization of a module,
@@ -114,7 +115,8 @@ func writeOp(bw *bufio.Writer, o *Op) error {
 // round-trip.
 func ParseText(r io.Reader) (*Module, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<22)
+	// The buffer grows from nil as lines need it, up to a 4 MiB line.
+	sc.Buffer(nil, 1<<22)
 	var m *Module
 	var f *Function
 	opByID := make(map[int]*Op)
@@ -129,6 +131,7 @@ func ParseText(r io.Reader) (*Module, error) {
 		names []string
 	}
 	var calleeFixes []calleeFix
+	var fields []string // reused by every line
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -136,16 +139,25 @@ func ParseText(r io.Reader) (*Module, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
+		fields = appendFields(fields[:0], line)
 		switch {
 		case fields[0] == "module":
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("ir: line %d: malformed module header", lineNo)
 			}
+			if m != nil {
+				return nil, fmt.Errorf("ir: line %d: second module header", lineNo)
+			}
 			m = NewModule(fields[1])
 		case fields[0] == "func":
 			if m == nil {
 				return nil, fmt.Errorf("ir: line %d: func before module", lineNo)
+			}
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("ir: line %d: func without a name", lineNo)
+			}
+			if m.FuncByName(fields[1]) != nil {
+				return nil, fmt.Errorf("ir: line %d: duplicate func %q", lineNo, fields[1])
 			}
 			f = m.NewFunction(fields[1])
 			for _, tok := range fields[2:] {
@@ -163,6 +175,9 @@ func ParseText(r io.Reader) (*Module, error) {
 		case fields[0] == "array":
 			if f == nil {
 				return nil, fmt.Errorf("ir: line %d: array outside func", lineNo)
+			}
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("ir: line %d: array without a name", lineNo)
 			}
 			a := &Array{Name: fields[1], Func: f}
 			for _, kv := range fields[2:] {
@@ -188,9 +203,15 @@ func ParseText(r io.Reader) (*Module, error) {
 			if f == nil {
 				return nil, fmt.Errorf("ir: line %d: loop outside func", lineNo)
 			}
+			if len(fields) < 3 {
+				return nil, fmt.Errorf("ir: line %d: loop needs an ID and a name", lineNo)
+			}
 			id, err := strconv.Atoi(fields[1])
 			if err != nil {
 				return nil, fmt.Errorf("ir: line %d: %v", lineNo, err)
+			}
+			if _, dup := loopByID[id]; dup {
+				return nil, fmt.Errorf("ir: line %d: duplicate loop %d", lineNo, id)
 			}
 			l := &Loop{ID: id, Name: fields[2], Unroll: 1, Func: f}
 			parent := -1
@@ -249,9 +270,34 @@ func ParseText(r io.Reader) (*Module, error) {
 			if !ok {
 				return nil, fmt.Errorf("ir: loop %d references unknown parent %d", fix.loop.ID, fix.parent)
 			}
+			if p.Func != fix.loop.Func {
+				return nil, fmt.Errorf("ir: loop %d has parent %d in another function", fix.loop.ID, fix.parent)
+			}
 			fix.loop.Parent = p
 			p.Kids = append(p.Kids, fix.loop)
 		}
+	}
+	// A cycle of parents would never end the walks up Loop.Parent that
+	// schedule and bind make. Each loop is walked once: 1 marks the loops
+	// of the current walk, 2 those already known to reach a root.
+	state := make(map[*Loop]uint8, len(loopFixes))
+	for _, fix := range loopFixes {
+		l, walk := fix.loop, []*Loop(nil)
+		for ; l != nil && state[l] == 0; l = l.Parent {
+			state[l] = 1
+			walk = append(walk, l)
+		}
+		if l != nil && state[l] == 1 {
+			return nil, fmt.Errorf("ir: loop %d is its own ancestor", l.ID)
+		}
+		for _, w := range walk {
+			state[w] = 2
+		}
+	}
+	// Every per-op table (OpTable) is sized by the largest op ID, so a few
+	// bytes of text must not name an ID far past the ops they declare.
+	if n := m.NumOps(); m.nextOpID > 4*n+1024 {
+		return nil, fmt.Errorf("ir: op IDs up to %d for %d ops are too sparse", m.nextOpID-1, n)
 	}
 	funcByName := make(map[string]*Function, len(m.Funcs))
 	for _, fn := range m.Funcs {
@@ -275,18 +321,23 @@ func ParseText(r io.Reader) (*Module, error) {
 func parseOp(m *Module, f *Function, fields []string, opByID map[int]*Op, loopByID map[int]*Loop) (*Op, error) {
 	// %ID = kind ["name"] iW [mem=a] [%op[:bits]...] [@file:line] [loop=N] [replica=R/I]
 	id, err := strconv.Atoi(strings.TrimPrefix(fields[0], "%"))
-	if err != nil || len(fields) < 4 || fields[1] != "=" {
+	if err != nil || id < 0 || len(fields) < 4 || fields[1] != "=" {
 		return nil, fmt.Errorf("malformed op header")
 	}
-	kind := kindByName(fields[2])
+	kind := kindOfName[fields[2]]
 	if !kind.Valid() {
 		return nil, fmt.Errorf("unknown op kind %q", fields[2])
 	}
 	o := &Op{ID: id, Kind: kind, Func: f, ReplicaOf: -1}
-	o.Name = defaultOpName(kind, id)
 	rest := fields[3:]
-	if len(rest) > 0 && strings.HasPrefix(rest[0], "\"") {
-		o.Name = strings.Trim(rest[0], "\"")
+	if len(rest) == 0 || !strings.HasPrefix(rest[0], "\"") {
+		o.Name = defaultOpName(kind, id)
+	} else {
+		name, ok := unquoteName(rest[0])
+		if !ok {
+			return nil, fmt.Errorf("bad op name %s", rest[0])
+		}
+		o.Name = name
 		rest = rest[1:]
 	}
 	if len(rest) == 0 || !strings.HasPrefix(rest[0], "i") {
@@ -297,6 +348,15 @@ func parseOp(m *Module, f *Function, fields []string, opByID map[int]*Op, loopBy
 		return nil, fmt.Errorf("bad bitwidth %q", rest[0])
 	}
 	o.Bitwidth = w
+	operands := 0
+	for _, tok := range rest[1:] {
+		if strings.HasPrefix(tok, "%") {
+			operands++
+		}
+	}
+	if operands > 0 {
+		o.Operands = make([]Operand, 0, operands)
+	}
 	for _, tok := range rest[1:] {
 		switch {
 		case strings.HasPrefix(tok, "mem="):
@@ -349,13 +409,15 @@ func parseOp(m *Module, f *Function, fields []string, opByID map[int]*Op, loopBy
 				return nil, fmt.Errorf("bad loop ref %q", tok)
 			}
 			l, ok := loopByID[lid]
-			if !ok {
+			if !ok || l.Func != f {
 				return nil, fmt.Errorf("unknown loop %d", lid)
 			}
 			o.Loop = l
 		case strings.HasPrefix(tok, "replica="):
-			var root, idx int
-			if _, err := fmt.Sscanf(tok, "replica=%d/%d", &root, &idx); err != nil {
+			r, i, ok := strings.Cut(tok[8:], "/")
+			root, err1 := strconv.Atoi(r)
+			idx, err2 := strconv.Atoi(i)
+			if !ok || err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("bad replica mark %q", tok)
 			}
 			o.ReplicaOf = root
@@ -371,10 +433,29 @@ func parseOp(m *Module, f *Function, fields []string, opByID map[int]*Op, loopBy
 	return o, nil
 }
 
+// unquoteName decodes a quoted op name. Only the form writeOp emits (%q)
+// is accepted, so a parsed name always writes back as the token it came
+// from. A token of printable ASCII without escapes is already that form.
+func unquoteName(tok string) (string, bool) {
+	name, err := strconv.Unquote(tok)
+	if err != nil {
+		return "", false
+	}
+	for i := 0; i < len(tok); i++ {
+		if c := tok[i]; c < ' ' || c > '~' || c == '\\' {
+			return name, strconv.Quote(name) == tok
+		}
+	}
+	return name, true
+}
+
 // defaultOpName is the name NewBuilder assigns when the caller never names
 // the op; such names carry no information and are omitted from the text.
 func defaultOpName(kind OpKind, id int) string {
-	return fmt.Sprintf("%s_%d", kind, id)
+	var buf [32]byte
+	b := append(buf[:0], kind.String()...)
+	b = append(b, '_')
+	return string(strconv.AppendInt(b, int64(id), 10))
 }
 
 func cutKV(s string) (k, v string, ok bool) {
@@ -385,12 +466,39 @@ func cutKV(s string) (k, v string, ok bool) {
 	return s[:i], s[i+1:], true
 }
 
-// kindByName resolves the textual kind name.
-func kindByName(name string) OpKind {
-	for _, k := range AllKinds() {
-		if k.String() == name {
-			return k
+// appendFields appends the fields of s to dst, split exactly as
+// strings.Fields splits them, without allocating when dst has room. Lines
+// are ASCII in practice; any other line goes through strings.Fields.
+func appendFields(dst []string, s string) []string {
+	base, start := len(dst), -1
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return append(dst[:base], strings.Fields(s)...)
+		}
+		if asciiSpace[c] {
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
 		}
 	}
-	return KindInvalid
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }
+
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// kindOfName resolves a textual kind name; an unknown name reads as
+// KindInvalid.
+var kindOfName = func() map[string]OpKind {
+	byName := make(map[string]OpKind, KindCount)
+	for _, k := range AllKinds() {
+		byName[k.String()] = k
+	}
+	return byName
+}()

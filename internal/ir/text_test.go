@@ -2,6 +2,7 @@ package ir
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -118,11 +119,58 @@ func TestParseTextErrors(t *testing.T) {
 		"bad directive":   "module m\nfunc f top\n  garbage here\n",
 		"unknown callee":  "module m\nfunc f top calls=ghost\n  %0 = add i8\n",
 		"bad func attr":   "module m\nfunc f top zorp\n  %0 = add i8\n",
+		"func no name":    "module m\nfunc\n",
+		"array no name":   "module m\nfunc f top\n  array\n",
+		"loop no name":    "module m\nfunc f top\n  loop 0\n",
+		"replica suffix":  "module m\nfunc f top\n  %0 = add i8 replica=3/1x\n",
+		"replica no idx":  "module m\nfunc f top\n  %0 = add i8 replica=3\n",
+		"negative op ID":  "module m\nfunc f top\n  %-1 = add i8\n",
+		"sparse op IDs":   "module m\nfunc f top\n  %999999999 = add i8\n",
+		"bad op name":     "module m\nfunc f top\n  %0 = port \"a\\x20b\" i8\n",
+		"second module":   "module m\nfunc f top\nmodule n\n",
+		"duplicate func":  "module m\nfunc f top\nfunc f\n",
+		"duplicate loop":  "module m\nfunc f top\n  loop 0 a trips=2\n  loop 0 b trips=2\n",
+		"loop cycle":      "module m\nfunc f top\n  loop 0 a trips=2 parent=1\n  loop 1 b trips=2 parent=0\n",
+		"foreign loop":    "module m\nfunc g\n  loop 0 a trips=2\nfunc f top\n  %0 = add i8 loop=0\n",
+		"foreign parent":  "module m\nfunc g\n  loop 0 a trips=2\nfunc f top\n  loop 1 b trips=2 parent=0\n",
+		"recursive call":  "module m\nfunc f top calls=g\n  %0 = add i8\nfunc g calls=f\n  %1 = add i8\n",
 	}
 	for name, input := range cases {
 		if _, err := ParseText(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+func TestAppendFieldsMatchesStringsFields(t *testing.T) {
+	for _, s := range []string{
+		"", "a", "  a  b\tc\r\n", "%1 = add i8 %0 @f.cpp:3",
+		"a\u00a0b c", "\u2003x\u3000y ", "caf\u00e9 \xff z", "\v\f",
+	} {
+		prefix := []string{"kept"}
+		got := appendFields(prefix, s)
+		want := append([]string{"kept"}, strings.Fields(s)...)
+		if strings.Join(got, "|") != strings.Join(want, "|") || len(got) != len(want) {
+			t.Errorf("appendFields(%q) = %q, want %q", s, got, want)
+		}
+	}
+}
+
+// ParseText's line buffer grows from nil: a small module must not pay for
+// a preallocated megabyte.
+func TestParseTextSmallModuleAllocatesLittle(t *testing.T) {
+	const text = "module m\nfunc f top\n  %0 = port \"x\" i8\n"
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ParseText(strings.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("parsing a 3-line module allocated %d B, want under 64 KiB", per)
 	}
 }
 

@@ -4,12 +4,14 @@ import "fmt"
 
 // Validate checks structural invariants of the module's IR:
 //
-//   - operation IDs are unique module-wide;
+//   - operation IDs are non-negative and unique module-wide;
 //   - every operand edge stays within one function;
 //   - def/user lists are mutually consistent;
 //   - edge weights are positive and never exceed the producer width;
 //   - loops belong to the function that lists them;
-//   - the top function exists and is not inlined.
+//   - the top function exists and is not inlined;
+//   - no live function reaches itself through its callees (HLS has no
+//     recursion, and the scheduler's latency roll-up would not end).
 //
 // It returns the first violation found, or nil.
 func Validate(m *Module) error {
@@ -19,7 +21,9 @@ func Validate(m *Module) error {
 	if m.Top.Inlined {
 		return fmt.Errorf("ir: top function %q is inlined", m.Top.Name)
 	}
-	seen := make(map[int]*Op)
+	// seen[id] is the op already holding id; IDs are dense in practice,
+	// so one slice sized from the ID counter holds them.
+	seen := make([]*Op, m.nextOpID)
 	for _, f := range m.Funcs {
 		if f.Inlined {
 			continue
@@ -33,7 +37,13 @@ func Validate(m *Module) error {
 			}
 		}
 		for _, o := range f.Ops {
-			if prev, dup := seen[o.ID]; dup {
+			if o.ID < 0 {
+				return fmt.Errorf("ir: op %s has negative ID %d", o.Name, o.ID)
+			}
+			if o.ID >= len(seen) {
+				seen = append(seen, make([]*Op, o.ID+1-len(seen))...)
+			}
+			if prev := seen[o.ID]; prev != nil {
 				return fmt.Errorf("ir: duplicate op ID %d (%s and %s)", o.ID, prev.Name, o.Name)
 			}
 			seen[o.ID] = o
@@ -66,6 +76,40 @@ func Validate(m *Module) error {
 				if !hasOperand(u, o) {
 					return fmt.Errorf("ir: stale user %s on op %s", u.Name, o.Name)
 				}
+			}
+		}
+	}
+	return validateCalls(m)
+}
+
+// validateCalls walks the call graph of the live functions depth-first:
+// state 1 marks the functions on the current path, 2 those done.
+func validateCalls(m *Module) error {
+	state := make(map[*Function]uint8, len(m.Funcs))
+	var visit func(f *Function) error
+	visit = func(f *Function) error {
+		switch state[f] {
+		case 1:
+			return fmt.Errorf("ir: function %q reaches itself through its callees", f.Name)
+		case 2:
+			return nil
+		}
+		state[f] = 1
+		for _, c := range f.Callees {
+			if c.Inlined {
+				continue
+			}
+			if err := visit(c); err != nil {
+				return err
+			}
+		}
+		state[f] = 2
+		return nil
+	}
+	for _, f := range m.Funcs {
+		if !f.Inlined {
+			if err := visit(f); err != nil {
+				return err
 			}
 		}
 	}

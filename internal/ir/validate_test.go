@@ -41,6 +41,30 @@ func TestValidateDetectsDuplicateIDs(t *testing.T) {
 	}
 }
 
+func TestValidateDetectsNegativeID(t *testing.T) {
+	m, f, _ := validModule(t)
+	f.Ops[0].ID = -3
+	if err := Validate(m); err == nil || !strings.Contains(err.Error(), "negative ID") {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+func TestValidateDetectsRecursiveCalls(t *testing.T) {
+	m, f, _ := validModule(t)
+	g := m.NewFunction("g")
+	NewBuilder(g).Port("q", 8)
+	f.Callees = append(f.Callees, g)
+	g.Callees = append(g.Callees, f)
+	if err := Validate(m); err == nil || !strings.Contains(err.Error(), "reaches itself") {
+		t.Fatalf("err = %v", err)
+	}
+	// An inlined function is no longer called, so it closes no cycle.
+	g.Inlined = true
+	if err := Validate(m); err != nil {
+		t.Fatalf("cycle through an inlined function: %v", err)
+	}
+}
+
 func TestValidateDetectsCrossFunctionEdge(t *testing.T) {
 	m, _, _ := validModule(t)
 	g := m.NewFunction("g")

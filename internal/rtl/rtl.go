@@ -103,7 +103,7 @@ type Netlist struct {
 	Cells   []*Cell
 	Nets    []*Net
 
-	CellOf  map[*ir.Op]*Cell       // FU cell implementing each op
+	CellOf  ir.OpTable[*Cell]      // FU cell implementing each op
 	cellFor map[*hls.FU]*Cell      //
 	muxFor  map[muxKey]*Cell       //
 	bankFor map[*hls.MemBank]*Cell //
@@ -119,7 +119,7 @@ func Elaborate(b *hls.Binding) *Netlist {
 	nl := &Netlist{
 		Mod:     b.Sched.Mod,
 		Binding: b,
-		CellOf:  make(map[*ir.Op]*Cell),
+		CellOf:  ir.NewOpTable[*Cell](b.Sched.Mod),
 		cellFor: make(map[*hls.FU]*Cell),
 		muxFor:  make(map[muxKey]*Cell),
 		bankFor: make(map[*hls.MemBank]*Cell),
@@ -142,7 +142,7 @@ func (nl *Netlist) buildCells() {
 		c.FU = u
 		nl.cellFor[u] = c
 		for _, o := range u.Ops {
-			nl.CellOf[o] = c
+			nl.CellOf.Set(o, c)
 		}
 	}
 	// Mux cells, keyed by (unit, port). Binding stores muxes flat; ports of
@@ -199,13 +199,13 @@ func (nl *Netlist) buildNets() {
 	// Dataflow nets: one per defining op that has users in other cells.
 	for _, f := range nl.Mod.LiveFuncs() {
 		for _, o := range f.Ops {
-			drv := nl.CellOf[o]
+			drv := nl.CellOf.Get(o)
 			if drv == nil {
 				continue
 			}
 			sinkBits := make(map[*Cell]int)
 			for _, u := range o.Users() {
-				uc := nl.CellOf[u]
+				uc := nl.CellOf.Get(u)
 				if uc == nil || uc == drv {
 					continue
 				}
@@ -286,7 +286,7 @@ func (nl *Netlist) buildNets() {
 				continue
 			}
 			bc := nl.bankCellFor(o)
-			lc := nl.CellOf[o]
+			lc := nl.CellOf.Get(o)
 			if bc == nil || lc == nil {
 				continue
 			}
@@ -330,8 +330,8 @@ func (nl *Netlist) buildNets() {
 			if rv == nil {
 				continue
 			}
-			rc := nl.CellOf[rv]
-			cc := nl.CellOf[o]
+			rc := nl.CellOf.Get(rv)
+			cc := nl.CellOf.Get(o)
 			if rc == nil || cc == nil || rc == cc {
 				continue
 			}
@@ -357,7 +357,7 @@ func (nl *Netlist) argPortCell(call *ir.Op, def *ir.Op) *Cell {
 	ports := callee.PortOps()
 	for i, e := range call.Operands {
 		if e.Def == def && i < len(ports) {
-			return nl.CellOf[ports[i]]
+			return nl.CellOf.Get(ports[i])
 		}
 	}
 	return nil

@@ -51,7 +51,7 @@ func TestElaborateCells(t *testing.T) {
 	}
 	// Every op maps to a cell.
 	for _, o := range m.AllOps() {
-		if nl.CellOf[o] == nil {
+		if nl.CellOf.Get(o) == nil {
 			t.Errorf("op %v has no cell", o)
 		}
 	}
@@ -143,8 +143,8 @@ func TestCallArgsWireToPortCells(t *testing.T) {
 	tb.Ret(tb.Op(ir.KindNot, 32, call))
 
 	nl := elaborate(t, m)
-	portCell := nl.CellOf[x]
-	prodCell := nl.CellOf[prod]
+	portCell := nl.CellOf.Get(x)
+	prodCell := nl.CellOf.Get(prod)
 	// The arg net must run producer -> callee port cell, not to the call
 	// unit.
 	foundArg := false
@@ -156,7 +156,7 @@ func TestCallArgsWireToPortCells(t *testing.T) {
 			if s.Cell == portCell {
 				foundArg = true
 			}
-			if s.Cell == nl.CellOf[call] {
+			if s.Cell == nl.CellOf.Get(call) {
 				t.Error("arg net routed to call unit instead of port cell")
 			}
 		}
@@ -167,9 +167,9 @@ func TestCallArgsWireToPortCells(t *testing.T) {
 	// The return net runs callee ret-value cell -> call unit.
 	foundRet := false
 	for _, n := range nl.Nets {
-		if n.Driver == nl.CellOf[lv] {
+		if n.Driver == nl.CellOf.Get(lv) {
 			for _, s := range n.Sinks {
-				if s.Cell == nl.CellOf[call] {
+				if s.Cell == nl.CellOf.Get(call) {
 					foundRet = true
 				}
 			}
@@ -239,9 +239,9 @@ func TestFootprintRadii(t *testing.T) {
 	if len(radii) != len(nl.Cells) {
 		t.Fatal("radius per cell missing")
 	}
-	if radii[nl.CellOf[big].ID] <= radii[nl.CellOf[small].ID] {
+	if radii[nl.CellOf.Get(big).ID] <= radii[nl.CellOf.Get(small).ID] {
 		t.Errorf("big cell radius %d <= small cell radius %d",
-			radii[nl.CellOf[big].ID], radii[nl.CellOf[small].ID])
+			radii[nl.CellOf.Get(big).ID], radii[nl.CellOf.Get(small).ID])
 	}
 	for _, r := range radii {
 		if r < 0 || r > 8 {

@@ -71,7 +71,7 @@ func Analyze(s *hls.Schedule, nl *rtl.Netlist, rr *route.Result, md Model) *Repo
 	for _, c := range nl.Cells {
 		worst := 0.5 // structural cells (mux select, memory output)
 		for _, o := range c.Ops() {
-			if d := s.Slots[o].FinishDelay; d > worst {
+			if d := s.Slots.Get(o).FinishDelay; d > worst {
 				worst = d
 			}
 		}

@@ -3,8 +3,8 @@
 # whole module (vet and gofmt reach perfbench/ too), then the steps go
 # test cannot take: benchmark and fuzz smokes, repeated race runs, and the
 # contracts that need real processes (a live congserve, the hlscong
-# dataset build at two worker counts and cut short). This is the gate
-# every PR must keep green (see ROADMAP.md).
+# dataset build at two worker counts and cut short). These 18 steps are
+# the gate every PR must keep green (see ROADMAP.md).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -81,7 +81,8 @@ go test -run '^$' -bench ExtractDesign -benchtime 1x ./internal/features
 # Decoders that face hostile bytes get a short bounded fuzz run on top of
 # their checked-in seed corpora (which go test replays): the store's
 # entry decoder, the predictor loader (cyclic or over-deep GBRT trees
-# among the payloads) and the serving codec's hand-rolled JSON parser.
+# among the payloads), the serving codec's hand-rolled JSON parser and
+# the IR text parser.
 echo "== store decode fuzz smoke (5s) =="
 go test -run '^$' -fuzz 'FuzzStoreDecode' -fuzztime 5s ./internal/store/ > /dev/null
 
@@ -90,6 +91,11 @@ go test -run '^$' -fuzz 'FuzzLoadPredictor' -fuzztime 5s ./internal/core/ > /dev
 
 echo "== serve codec fuzz smoke (5s) =="
 go test -run '^$' -fuzz 'FuzzDecodeJSONRows' -fuzztime 5s ./internal/serve/ > /dev/null
+
+# The IR parser's seeds are whole designs of tens to hundreds of KB; the
+# default 60s minimization of each new input would take the whole smoke.
+echo "== IR text parser fuzz smoke (5s) =="
+go test -run '^$' -fuzz 'FuzzParseText' -fuzztime 5s -fuzzminimizetime 10x ./internal/ir/ > /dev/null
 
 # The multi-core serving contract, repeated under the race detector:
 # sharded responses byte-identical to single-shard, concurrent load spread
