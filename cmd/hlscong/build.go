@@ -56,10 +56,9 @@ func runBuild(ctx context.Context, cfg experiments.Config, bf buildFlags) error 
 		labelRuns = core.LabelRuns
 	}
 	ds, _, summary, buildErr := core.BuildDatasetContext(ctx, mods, cfg.Flow, core.BuildOptions{
-		LabelRuns:  labelRuns,
-		Retry:      flow.DefaultRetryPolicy(),
-		Workers:    cfg.Workers,
-		Checkpoint: cfg.Checkpoint,
+		LabelRuns: labelRuns,
+		Retry:     flow.DefaultRetryPolicy(),
+		Workers:   cfg.Workers,
 	})
 	fmt.Print(summary.Format())
 	fmt.Printf("dataset: %d samples, %d features\n", ds.Len(), len(ds.FeatureNames))

@@ -36,10 +36,11 @@
 //	-flowcache N memoize up to N completed flow runs so repeated
 //	             (design, config, seed) implementations are served from
 //	             cache (0 disables; results are identical either way)
-//	-store-dir D persist completed flow runs and dataset-build checkpoints
-//	             to a crash-safe artifact store under D: a rerun (or a run
-//	             killed mid-sweep) restores finished work from disk instead
-//	             of recomputing it; results are identical either way
+//	-store-dir D persist completed flow runs to a crash-safe artifact
+//	             store under D, the flow cache's disk tier: a rerun (or a
+//	             run killed mid-sweep) restores finished runs from disk
+//	             instead of recomputing them; results are identical either
+//	             way. Needs the flow cache (-flowcache > 0)
 //	-store-max-bytes N
 //	             evict least-recently-used store entries past N bytes
 //	             (0 = unbounded)
@@ -106,7 +107,7 @@ func realMain() (code int) {
 	cacheSize := flag.Int("flowcache", flowcache.DefaultMaxEntries,
 		"memoize up to N completed flow runs (0 disables)")
 	storeDir := flag.String("store-dir", "",
-		"persist flow runs and build checkpoints to this artifact store directory")
+		"persist completed flow runs to this artifact store directory (needs -flowcache > 0)")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0,
 		"evict least-recently-used store entries past this many bytes (0 = unbounded)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -122,6 +123,10 @@ func realMain() (code int) {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
+		return 2
+	}
+	if *storeDir != "" && *cacheSize <= 0 {
+		fmt.Fprintln(os.Stderr, "hlscong: -store-dir needs the flow cache: the store is its disk tier, and -flowcache 0 disables it")
 		return 2
 	}
 
@@ -192,21 +197,15 @@ func realMain() (code int) {
 	} else {
 		cfg.Flow.Cache = nil // -flowcache 0 disables memoization entirely
 	}
-	var st *store.Store
 	if *storeDir != "" {
-		var err error
-		st, err = store.Open(*storeDir, store.Options{MaxBytes: *storeMaxBytes})
+		st, err := store.Open(*storeDir, store.Options{MaxBytes: *storeMaxBytes})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "hlscong:", err)
 			return 1
 		}
-		// The store backs both tiers of persistence: completed flow runs
-		// spill through the flow cache, and dataset builds checkpoint
-		// per-module progress so a killed run resumes.
-		if cache != nil {
-			cache.AttachStore(st)
-		}
-		cfg.Checkpoint = store.NewCheckpoint(st)
+		// Completed flow runs write through the flow cache to the store,
+		// so a rerun, or a build killed mid-sweep, restores them from disk.
+		cache.AttachStore(st)
 	}
 
 	// Any observability flag arms the observer. Observation rides along on
@@ -223,8 +222,6 @@ func realMain() (code int) {
 		cfg.Flow.Obs = o
 		if cache != nil {
 			cache.SetObserver(o) // forwards to the attached store, if any
-		} else {
-			st.SetObserver(o) // nil-safe
 		}
 		if *debugAddr != "" {
 			addr, err := o.Serve(*debugAddr)
@@ -259,7 +256,7 @@ func realMain() (code int) {
 					code = 1
 				}
 			}
-			fmt.Fprint(os.Stderr, stageSummary(o, cache, st))
+			fmt.Fprint(os.Stderr, stageSummary(o, cache))
 		}()
 	}
 
@@ -332,7 +329,7 @@ func writeObsOutputs(o *obs.Observer, traceFile, metricsFile string) error {
 
 // stageSummary renders the end-of-run per-stage wall-time table from the
 // metrics registry, plus flow/cache/store totals.
-func stageSummary(o *obs.Observer, cache *flowcache.Cache, st *store.Store) string {
+func stageSummary(o *obs.Observer, cache *flowcache.Cache) string {
 	snap := o.Metrics().Snapshot()
 	var b []byte
 	add := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
@@ -358,9 +355,9 @@ func stageSummary(o *obs.Observer, cache *flowcache.Cache, st *store.Store) stri
 	}
 	if cache != nil {
 		add("  %s\n", cache.Stats())
-	}
-	if st != nil {
-		add("  %s\n", st.Stats())
+		if st := cache.Store(); st != nil {
+			add("  %s\n", st.Stats())
+		}
 	}
 	if cps, ok := snap.Gauge(obs.MetricGridCandidatesPerSec); ok {
 		add("  grid search: %.1f candidates/sec\n", cps)

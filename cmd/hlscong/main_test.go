@@ -5,12 +5,46 @@ import (
 	"context"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
 	"repro/internal/store"
 )
+
+// runMainEnv, when set, makes the test binary run hlscong itself on its
+// command line instead of the tests, so a test can check flag handling and
+// exit codes in a child process.
+const runMainEnv = "HLSCONG_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		os.Exit(realMain())
+	}
+	os.Exit(m.Run())
+}
+
+// TestStoreDirNeedsFlowCache: the store is the flow cache's disk tier, so
+// -store-dir with the cache off (-flowcache 0) would persist nothing.
+// hlscong refuses the pair with exit 2 before it opens the store.
+func TestStoreDirNeedsFlowCache(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	child := exec.Command(os.Args[0], "-flowcache", "0", "-store-dir", dir, "build")
+	child.Env = append(os.Environ(), runMainEnv+"=1")
+	out, err := child.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("hlscong -flowcache 0 -store-dir D build: err %v, want exit 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "-store-dir needs the flow cache") {
+		t.Errorf("exit 2 without naming the conflict:\n%s", out)
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the refused run touched the store directory (stat: %v)", err)
+	}
+}
 
 // TestRunBuildCancelledKeepsOut: a build cancelled before it finishes
 // fails and leaves the artifact already at -out byte for byte.

@@ -31,7 +31,6 @@ import (
 	"repro/internal/ml/lasso"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/store"
 )
 
 // ModelKind selects one of the paper's three regression models.
@@ -199,14 +198,6 @@ type BuildOptions struct {
 	// order, so the dataset, summary and joined error are byte-identical
 	// across worker counts.
 	Workers int
-	// Checkpoint, when non-nil, persists each completed module's samples
-	// and first flow result to the artifact store and restores them on the
-	// next build with the same (module, config, label-run count) — a build
-	// killed mid-sweep resumes instead of recomputing. Restored samples
-	// are byte-identical to recomputed ones (the codec stores raw float
-	// bits and the build is deterministic), so checkpointing never changes
-	// the dataset. Checkpoint failures degrade to recompute.
-	Checkpoint *store.Checkpoint
 }
 
 // ModuleFailure records one module the dataset build had to skip.
@@ -223,17 +214,11 @@ type BuildSummary struct {
 	Failed    []ModuleFailure
 	// FlowRuns counts successful flow executions (label runs included).
 	FlowRuns int
-	// Restored counts modules recovered from the build checkpoint instead
-	// of executed (their label runs are not in FlowRuns).
-	Restored int
 }
 
 // Format renders the summary as a short human-readable report.
 func (s *BuildSummary) Format() string {
 	out := fmt.Sprintf("dataset build: %d/%d modules, %d flow runs", s.Succeeded, s.Modules, s.FlowRuns)
-	if s.Restored > 0 {
-		out += fmt.Sprintf(" (%d modules restored from checkpoint)", s.Restored)
-	}
 	for _, f := range s.Failed {
 		out += fmt.Sprintf("\n  skipped %q: %v", f.Module, f.Err)
 	}
@@ -295,38 +280,11 @@ func BuildDatasetContext(ctx context.Context, mods []*ir.Module, cfg flow.Config
 	}
 	defer bsp.End()
 	ds := dataset.New()
-
-	// Restore checkpointed modules first: a module whose (text, config,
-	// label-run count) block is already in the artifact store skips its
-	// flow runs entirely. A block that fails to load — missing, corrupt,
-	// or with a stale feature layout — is simply recomputed.
-	ck := opts.Checkpoint
-	done := make([]bool, len(mods))
-	restoredSamples := make([][]*dataset.Sample, len(mods))
-	restoredFirst := make([]*flow.Result, len(mods))
-	if ck != nil {
-		for mi, m := range mods {
-			samples, first, ok := ck.LoadModule(m, cfg, labelRuns)
-			if !ok || !samplesFitLayout(samples, len(ds.FeatureNames)) {
-				continue
-			}
-			restoredSamples[mi], restoredFirst[mi] = samples, first
-			done[mi] = true
-		}
-	}
-
-	cells := runCells(ctx, mods, cfg, labelRuns, opts, done)
+	cells := runCells(ctx, mods, cfg, labelRuns, opts)
 
 	var results []*flow.Result
 	sum := &BuildSummary{Modules: len(mods)}
 	for mi, m := range mods {
-		if done[mi] {
-			ds.Samples = append(ds.Samples, restoredSamples[mi]...)
-			results = append(results, restoredFirst[mi])
-			sum.Succeeded++
-			sum.Restored++
-			continue
-		}
 		traced, first, runs, err := reduceModuleCells(cells[mi*labelRuns : (mi+1)*labelRuns])
 		sum.FlowRuns += runs
 		if err != nil {
@@ -349,38 +307,16 @@ func BuildDatasetContext(ctx context.Context, mods []*ir.Module, cfg flow.Config
 		// emitted features byte-identical either way.
 		g := graph.Build(first.Mod, first.Bind)
 		ex := features.NewExtractor(first.Mod, first.Sched, first.Bind, g, cfg.Dev)
-		start := ds.Len()
 		ds.FromTrace(m.Name, traced, ex)
 		results = append(results, first)
 		sum.Succeeded++
-		if ck != nil {
-			// Persist the module as soon as it completes, so a kill at any
-			// later point loses at most the in-flight modules. A failed
-			// save just means this module is rebuilt next time.
-			if cerr := ck.SaveModule(m, cfg, labelRuns, ds.FeatureNames, ds.Samples[start:], first); cerr != nil {
-				if l := o.Logger(); l != nil {
-					l.Warn("dataset build checkpoint not taken", "module", m.Name, "error", cerr)
-				}
-			}
-		}
 	}
 	o.Count(obs.MetricBuildFlowRuns, int64(sum.FlowRuns))
 	if l := o.Logger(); l != nil {
 		l.Info("dataset build complete", "modules", sum.Modules, "succeeded", sum.Succeeded,
-			"restored", sum.Restored, "flow_runs", sum.FlowRuns, "samples", ds.Len())
+			"flow_runs", sum.FlowRuns, "samples", ds.Len())
 	}
 	return ds, results, sum, sum.Err()
-}
-
-// samplesFitLayout guards a checkpoint restore: every restored sample must
-// carry the build's current feature layout, or the module is recomputed.
-func samplesFitLayout(samples []*dataset.Sample, cols int) bool {
-	for _, s := range samples {
-		if len(s.Features) != cols {
-			return false
-		}
-	}
-	return true
 }
 
 // cellSeedStride separates the placement seeds of a module's label runs; a
@@ -414,10 +350,8 @@ var errRunSkipped = errors.New("core: label run skipped after an earlier seed fa
 // runCells executes the flattened (module × label-run) grid on a bounded
 // worker pool. Cell k covers module k/labelRuns, run k%labelRuns, and its
 // placement seed depends only on that position — never on scheduling — so
-// every worker count produces the same per-cell outcome. Modules marked
-// done (restored from a checkpoint) are skipped; their cells are never
-// reduced.
-func runCells(ctx context.Context, mods []*ir.Module, cfg flow.Config, labelRuns int, opts BuildOptions, done []bool) []runCell {
+// every worker count produces the same per-cell outcome.
+func runCells(ctx context.Context, mods []*ir.Module, cfg flow.Config, labelRuns int, opts BuildOptions) []runCell {
 	cells := make([]runCell, len(mods)*labelRuns)
 	// failedAt[mi] is the lowest label-run index of module mi that has
 	// failed so far (labelRuns = none yet). Later runs of a failed module
@@ -428,9 +362,6 @@ func runCells(ctx context.Context, mods []*ir.Module, cfg flow.Config, labelRuns
 	}
 	perr := parallel.ForEach(ctx, len(cells), opts.Workers, func(ctx context.Context, k int) {
 		mi, run := k/labelRuns, k%labelRuns
-		if done[mi] {
-			return
-		}
 		if int64(run) > failedAt[mi].Load() {
 			cells[k].err = errRunSkipped
 			return

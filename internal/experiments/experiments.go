@@ -17,7 +17,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/flowcache"
 	"repro/internal/ir"
-	"repro/internal/store"
 )
 
 // Config selects the flow setup and effort level for experiment runs.
@@ -36,10 +35,6 @@ type Config struct {
 	// Ctx optionally bounds every flow run of the experiment (deadline,
 	// Ctrl-C); nil means context.Background().
 	Ctx context.Context
-	// Checkpoint optionally persists per-module dataset-build progress to
-	// an artifact store (see core.BuildOptions.Checkpoint): a killed
-	// experiment resumes its dataset build instead of recomputing it.
-	Checkpoint *store.Checkpoint
 }
 
 // ctx normalizes the optional context.
@@ -79,6 +74,6 @@ func RunOnce(m *ir.Module, cfg Config) (*flow.Result, error) {
 func (c Config) PaperDataset() (*dataset.Dataset, []*flow.Result, error) {
 	ds, results, _, err := core.BuildDatasetContext(c.ctx(), bench.TrainingModules(), c.Flow,
 		core.BuildOptions{LabelRuns: core.LabelRuns, Retry: flow.DefaultRetryPolicy(),
-			Workers: c.Workers, Checkpoint: c.Checkpoint})
+			Workers: c.Workers})
 	return ds, results, err
 }

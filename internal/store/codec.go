@@ -41,7 +41,6 @@ import (
 const (
 	payloadResult  = 'R'
 	payloadDataset = 'D'
-	payloadModule  = 'M'
 	resultVersion  = 1
 )
 

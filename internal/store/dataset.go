@@ -1,12 +1,9 @@
 package store
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 
 	"repro/internal/dataset"
-	"repro/internal/flow"
 	"repro/internal/ir"
 )
 
@@ -252,118 +249,4 @@ func readBools(r *reader, n int, what string) []bool {
 		out[i] = r.bool(what)
 	}
 	return out
-}
-
-// Checkpoint persists per-module dataset-build progress so a killed build
-// resumes instead of recomputing. One module block holds the module's
-// samples (columnar) plus its encoded run-0 flow result — embedded, not
-// referenced by flow-cache key, because retries re-roll the seed and the
-// successful attempt's key is not derivable from the requested config.
-// Blocks are content-addressed by the requested (module, config,
-// label-run-count), so a config change simply misses and rebuilds;
-// invalidation stays by-construction.
-type Checkpoint struct {
-	s *Store
-}
-
-// NewCheckpoint wraps a store for checkpoint use; nil store → nil
-// checkpoint (disabled).
-func NewCheckpoint(s *Store) *Checkpoint {
-	if s == nil {
-		return nil
-	}
-	return &Checkpoint{s: s}
-}
-
-// Store exposes the underlying artifact store (nil-safe).
-func (c *Checkpoint) Store() *Store {
-	if c == nil {
-		return nil
-	}
-	return c.s
-}
-
-// ModuleKey content-addresses one module's block within a build: a hash of
-// the flow cache key (module text + full config + base seed) and the
-// label-run count the build averages over.
-func (c *Checkpoint) ModuleKey(m *ir.Module, cfg flow.Config, labelRuns int) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "dataset-module|%s|runs=%d", flow.CacheKey(m, cfg), labelRuns)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-const moduleBlockVersion = 1
-
-// SaveModule persists one completed module: its appended samples and the
-// run-0 flow result. featureNames is the build's shared layout. Errors
-// mean the checkpoint was not taken; the build continues regardless.
-func (c *Checkpoint) SaveModule(m *ir.Module, cfg flow.Config, labelRuns int,
-	featureNames []string, samples []*dataset.Sample, first *flow.Result) error {
-	if c == nil || c.s == nil {
-		return fmt.Errorf("store: nil checkpoint")
-	}
-	encRes, err := EncodeResult(first)
-	if err != nil {
-		return err
-	}
-	sub := EncodeDataset(&dataset.Dataset{FeatureNames: featureNames, Samples: samples})
-	b := make([]byte, 0, 2+4+len(sub)+4+len(encRes))
-	b = appendU8(b, payloadModule)
-	b = appendU8(b, moduleBlockVersion)
-	b = appendU32(b, uint32(len(sub)))
-	b = append(b, sub...)
-	b = appendU32(b, uint32(len(encRes)))
-	b = append(b, encRes...)
-	return c.s.Put(c.ModuleKey(m, cfg, labelRuns), b)
-}
-
-// LoadModule restores a module block, returning its samples and decoded
-// run-0 result. Any decode failure quarantines the block and reports a
-// miss — the build recomputes the module.
-func (c *Checkpoint) LoadModule(m *ir.Module, cfg flow.Config, labelRuns int) (
-	samples []*dataset.Sample, first *flow.Result, ok bool) {
-	if c == nil || c.s == nil {
-		return nil, nil, false
-	}
-	key := c.ModuleKey(m, cfg, labelRuns)
-	payload, err := c.s.Get(key)
-	if err != nil {
-		return nil, nil, false
-	}
-	ds, res, err := decodeModuleBlock(payload)
-	if err != nil {
-		c.s.Corrupt(key, err)
-		return nil, nil, false
-	}
-	return ds.Samples, res, true
-}
-
-// decodeModuleBlock splits and decodes a module block's two sub-payloads.
-func decodeModuleBlock(payload []byte) (*dataset.Dataset, *flow.Result, error) {
-	r := newReader(payload)
-	if k := r.u8("module block kind"); r.err == nil && k != payloadModule {
-		return nil, nil, fmt.Errorf("store: payload kind %q is not a module block", k)
-	}
-	if v := r.u8("module block version"); r.err == nil && v != moduleBlockVersion {
-		return nil, nil, fmt.Errorf("store: unsupported module block version %d", v)
-	}
-	nds := r.count(1, "dataset block")
-	sub := r.take(nds, "dataset block")
-	nres := r.count(1, "result block")
-	encRes := r.take(nres, "result block")
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	if r.remaining() != 0 {
-		return nil, nil, fmt.Errorf("store: module block has %d trailing bytes", r.remaining())
-	}
-	ds, err := DecodeDataset(sub)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := DecodeResult(encRes)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ds, res, nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/flow"
 	"repro/internal/ir"
 )
 
@@ -120,84 +119,5 @@ func TestEmptyDatasetRoundtrip(t *testing.T) {
 	if len(dec.Samples) != 0 || !reflect.DeepEqual(dec.FeatureNames, ds.FeatureNames) {
 		t.Errorf("empty roundtrip: %d samples, names equal=%v",
 			len(dec.Samples), reflect.DeepEqual(dec.FeatureNames, ds.FeatureNames))
-	}
-}
-
-func TestCheckpointRoundtrip(t *testing.T) {
-	res := testResult(t)
-	ds := testDataset()
-	s := openStore(t, t.TempDir(), Options{})
-	ck := NewCheckpoint(s)
-	const runs = 2
-	if err := ck.SaveModule(res.Mod, res.Config, runs, ds.FeatureNames, ds.Samples, res); err != nil {
-		t.Fatal(err)
-	}
-	samples, first, ok := ck.LoadModule(res.Mod, res.Config, runs)
-	if !ok {
-		t.Fatal("LoadModule missed a just-saved block")
-	}
-	if len(samples) != len(ds.Samples) {
-		t.Fatalf("restored %d samples, want %d", len(samples), len(ds.Samples))
-	}
-	for i := range samples {
-		if !reflect.DeepEqual(*samples[i], *ds.Samples[i]) {
-			t.Errorf("sample %d differs after checkpoint roundtrip", i)
-		}
-	}
-	if err := VerifyResultKey(first, flow.CacheKey(res.Mod, res.Config)); err != nil {
-		t.Errorf("restored run-0 result fails verification: %v", err)
-	}
-	// A different run count or config is a different block: clean miss.
-	if _, _, ok := ck.LoadModule(res.Mod, res.Config, runs+1); ok {
-		t.Error("LoadModule hit with a different label-run count")
-	}
-	other := res.Config
-	other.Seed++
-	if _, _, ok := ck.LoadModule(res.Mod, other, runs); ok {
-		t.Error("LoadModule hit with a different config")
-	}
-}
-
-func TestCheckpointCorruptBlockDegradesToMiss(t *testing.T) {
-	res := testResult(t)
-	s := openStore(t, t.TempDir(), Options{})
-	ck := NewCheckpoint(s)
-	key := ck.ModuleKey(res.Mod, res.Config, 2)
-	// A validly stored entry whose payload is not a module block: the
-	// container digest passes, the semantic decode must not.
-	if err := s.Put(key, []byte("not a module block")); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := ck.LoadModule(res.Mod, res.Config, 2); ok {
-		t.Fatal("LoadModule served a garbage block")
-	}
-	if st := s.Stats(); st.Corrupt != 1 {
-		t.Errorf("corrupt block not quarantined: %+v", st)
-	}
-}
-
-func TestNilCheckpointDisabled(t *testing.T) {
-	if NewCheckpoint(nil) != nil {
-		t.Fatal("NewCheckpoint(nil) must disable checkpointing")
-	}
-	var ck *Checkpoint
-	res := testResult(t)
-	if _, _, ok := ck.LoadModule(res.Mod, res.Config, 2); ok {
-		t.Error("nil checkpoint reported a hit")
-	}
-	if err := ck.SaveModule(res.Mod, res.Config, 2, nil, nil, res); err == nil {
-		t.Error("nil checkpoint accepted a save")
-	}
-	if ck.Store() != nil {
-		t.Error("nil checkpoint has a store")
-	}
-}
-
-func TestModuleKeyIsValidStoreKey(t *testing.T) {
-	res := testResult(t)
-	s := openStore(t, t.TempDir(), Options{})
-	key := NewCheckpoint(s).ModuleKey(res.Mod, res.Config, 3)
-	if !validKey(key) {
-		t.Errorf("ModuleKey %q is not a valid store key", key)
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzStoreDecode drives arbitrary bytes through every decoder in the
-// store's read path: the entry container, the flow-result codec, the
-// columnar dataset codec and the checkpoint module block. The invariants
+// store's read path: the entry container, the flow-result codec and the
+// columnar dataset codec. The invariants
 // under test are the store's robustness contract: no input may panic, and
 // no input may yield an artifact that passes semantic verification for a
 // key it does not hash to — corrupt bytes degrade to an error (recompute),
@@ -23,23 +23,18 @@ func FuzzStoreDecode(f *testing.F) {
 	}
 	ds := testDataset()
 	encDS := EncodeDataset(ds)
-	// A checkpoint module block, built exactly like Checkpoint.SaveModule.
-	blk := []byte{payloadModule, moduleBlockVersion}
-	blk = appendU32(blk, uint32(len(encDS)))
-	blk = append(blk, encDS...)
-	blk = appendU32(blk, uint32(len(encRes)))
-	blk = append(blk, encRes...)
 
 	f.Add([]byte{})
 	f.Add([]byte{payloadResult})
 	f.Add([]byte{payloadResult, resultVersion})
 	f.Add([]byte{payloadDataset, datasetVersion, 0, 0, 0, 0})
-	f.Add([]byte{payloadModule, moduleBlockVersion})
 	f.Add(encRes)
 	f.Add(encDS)
-	f.Add(blk)
 	f.Add(encodeEntry(key, encRes))
 	f.Add(encodeEntry(key, encDS))
+	// Torn payloads: valid encodings cut short.
+	f.Add(encRes[:len(encRes)/2])
+	f.Add(encDS[:len(encDS)-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Entry container: a successful decode means the embedded digest
@@ -74,8 +69,5 @@ func FuzzStoreDecode(f *testing.F) {
 				}
 			}
 		}
-
-		// Module blocks recurse into both codecs.
-		decodeModuleBlock(data)
 	})
 }

@@ -1,9 +1,8 @@
 // Package store is the crash-safe persistent artifact tier of the
 // reproduction: a disk-backed, content-addressed store keyed by the same
 // sha256 keys the in-memory flow cache uses (flow.CacheKey), plus codecs
-// for the two artifact kinds that live in it — completed flow results
-// (codec.go) and columnar datasets / per-module build checkpoints
-// (dataset.go).
+// for completed flow results (codec.go), the artifacts that live in it, and
+// for columnar datasets (dataset.go), which dataset builds write to files.
 //
 // Robustness is by construction, not by recovery tooling:
 //

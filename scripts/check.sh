@@ -3,7 +3,7 @@
 # whole module (vet and gofmt reach perfbench/ too), then the steps go
 # test cannot take: benchmark and fuzz smokes, repeated race runs, and the
 # contracts that need real processes (a live congserve, the hlscong
-# dataset build at two worker counts and cut short). These 18 steps are
+# dataset build at two worker counts and cut short). These 19 steps are
 # the gate every PR must keep green (see ROADMAP.md).
 set -eu
 cd "$(dirname "$0")/.."
@@ -68,6 +68,12 @@ go run ./examples/quickstart > /dev/null
 # under the race detector while being timed.
 echo "== parallel bench smoke (-race) =="
 go test -race -run '^$' -bench 'BenchmarkBuildDataset$' -benchtime=1x .
+
+# The flow cache's disk tier, the one way a killed build resumes: a cold
+# build into a fresh store, then a warm rebuild that fails unless every
+# flow run came from disk.
+echo "== store bench smoke (cold and warm disk tier) =="
+go test -run '^$' -bench 'BenchmarkBuildDataset(Cold|Warm)Store$' -benchtime 1x .
 
 echo "== gbrt paper-shape fit bench smoke =="
 go test -run '^$' -bench FitPaperShape -benchtime 1x ./internal/ml/gbrt
