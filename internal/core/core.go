@@ -471,6 +471,11 @@ type Predictor struct {
 	// dataset.Targets order, over one set of threshold tables: each row is
 	// scaled and binned once for all three. Nil for the other kinds.
 	gbrt *gbrt.Evaluator
+	// query caches one PredictModule call's scratch for the next call. A
+	// call takes it out with Swap and puts it back when done, so a second
+	// concurrent call finds it empty and allocates its own; whichever
+	// finishes last is kept.
+	query atomic.Pointer[queryScratch]
 }
 
 // TrainOptions tunes predictor training.
@@ -664,6 +669,27 @@ type OpPrediction struct {
 // takes no new row.
 const predictChunk = 256
 
+// queryScratch is the working set of one predictOps call, kept on the
+// Predictor for the next call: the chunk of distinct rows, their
+// predictions, the row lookup and one slot index per op. Nothing in it
+// outlives a call's answer; every entry a call reads it has written.
+type queryScratch struct {
+	rows             [][]float64
+	vert, horiz, avg []float64
+	slots            rowSlots
+	opSlot           []int32
+}
+
+func newQueryScratch() *queryScratch {
+	return &queryScratch{
+		rows:  ml.NewMatrix(predictChunk, features.NumFeatures).RowViews(nil),
+		vert:  make([]float64, predictChunk),
+		horiz: make([]float64, predictChunk),
+		avg:   make([]float64, predictChunk),
+		slots: make(rowSlots, predictChunk),
+	}
+}
+
 // PredictModule estimates per-operation congestion for a design running
 // only the HLS front half (schedule + bind + feature extraction) — no
 // placement, no routing. This is the prediction phase of Fig. 2: the whole
@@ -671,12 +697,14 @@ const predictChunk = 256
 // implementation.
 //
 // Extraction streams into prediction, and each distinct feature row is
-// evaluated once: every op is extracted into one reused buffer of
-// predictChunk rows, an op whose row the buffer already holds shares that
-// row, and the buffer is predicted whenever it is full of distinct rows,
-// and at the end. HLS designs repeat their ops through unrolled loops and
-// replicated units, so most ops share a row. Predictions are per row, so
-// the answers equal those of one batch over every op.
+// evaluated once: every op is extracted into one buffer of predictChunk
+// rows, an op whose row the buffer already holds shares that row, and the
+// buffer is predicted whenever it is full of distinct rows, and at the
+// end. HLS designs repeat their ops through unrolled loops and replicated
+// units, so most ops share a row. Predictions are per row, so the answers
+// equal those of one batch over every op. The Predictor keeps the buffer
+// for its next query; concurrent queries are safe, each beyond the first
+// working in a buffer of its own.
 func (p *Predictor) PredictModule(m *ir.Module, cfg flow.Config) ([]OpPrediction, error) {
 	ex, err := moduleExtractor(m, cfg)
 	if err != nil {
@@ -699,18 +727,25 @@ func moduleExtractor(m *ir.Module, cfg flow.Config) (*features.Extractor, error)
 
 // predictOps predicts every op from its feature row, evaluating each
 // distinct row of a chunk once, and also returns how many rows it
-// evaluated.
+// evaluated. It works in the Predictor's cached queryScratch when no other
+// call holds it, and in a fresh one otherwise.
 func (p *Predictor) predictOps(ex *features.Extractor, ops []*ir.Op) ([]OpPrediction, int, error) {
 	if len(ops) == 0 {
 		return nil, 0, nil
 	}
-	n := min(len(ops), predictChunk)
-	rows := ml.NewMatrix(n, features.NumFeatures).RowViews(nil)
-	vert := make([]float64, n)
-	horiz := make([]float64, n)
-	avg := make([]float64, n)
-	slots := make(rowSlots, n)
-	opSlot := make([]int32, len(ops))
+	sc := p.query.Swap(nil)
+	if sc == nil {
+		sc = newQueryScratch()
+	}
+	defer p.query.Store(sc)
+	// A call that returns early leaves rows in the lookup; the next call
+	// must start from an empty one.
+	clear(sc.slots)
+	if cap(sc.opSlot) < len(ops) {
+		sc.opSlot = make([]int32, len(ops))
+	}
+	rows, vert, horiz, avg, slots := sc.rows, sc.vert, sc.horiz, sc.avg, sc.slots
+	opSlot := sc.opSlot[:len(ops)]
 	out := make([]OpPrediction, len(ops))
 	// rows[:used] are the chunk's distinct rows; ops[done:] are the ops not
 	// yet answered, each reading its row from rows[opSlot[i]].
@@ -738,7 +773,7 @@ func (p *Predictor) predictOps(ex *features.Extractor, ops []*ir.Op) ([]OpPredic
 		if s < used {
 			continue // a repeated row: rows[used] is free for the next op
 		}
-		if used++; used == n {
+		if used++; used == predictChunk {
 			if err := flush(i + 1); err != nil {
 				return nil, 0, err
 			}

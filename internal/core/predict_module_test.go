@@ -3,16 +3,19 @@ package core
 // Tests for PredictModule's chunked, deduplicating extract-then-predict:
 // its answers must equal one whole-matrix batch bit for bit on both sides
 // of every chunk boundary, rows share a slot only when their bits are
-// equal, a replicated design evaluates only its distinct rows, and one
-// query must allocate less than the whole feature matrix it no longer
-// builds.
+// equal, a replicated design evaluates only its distinct rows, one query
+// must allocate less than the whole feature matrix it no longer builds, a
+// repeated query reuses the chunk buffer, and concurrent queries sharing
+// one Predictor answer as sequential ones do.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -23,7 +26,7 @@ import (
 	"repro/internal/ir"
 )
 
-func keptPredictor(t *testing.T) *Predictor {
+func keptPredictor(t testing.TB) *Predictor {
 	t.Helper()
 	raw, err := os.ReadFile(keptArtifact)
 	if err != nil {
@@ -208,4 +211,85 @@ func TestPredictModuleAllocatesLessThanFeatureMatrix(t *testing.T) {
 	if got >= matrix {
 		t.Fatalf("PredictModule allocated %d B, not less than the %d B feature matrix", got, matrix)
 	}
+}
+
+// TestPredictModuleReusesChunkScratch pins the cached chunk buffer: once a
+// Predictor has answered one query, a second query on optical_flow (353
+// ops, so a full predictChunk of rows would be allocated afresh) must
+// allocate less than one predictChunk × 302 float64 matrix. It must not run
+// in parallel: TotalAlloc counts every goroutine's allocation.
+func TestPredictModuleReusesChunkScratch(t *testing.T) {
+	p := keptPredictor(t)
+	m := bench.OpticalFlow()
+	cfg := flow.DefaultConfig()
+	if _, err := p.PredictModule(m, cfg); err != nil { // fills the cache
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := p.PredictModule(m, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk := uint64(predictChunk * features.NumFeatures * 8)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d ops: the second PredictModule allocated %d B, one chunk buffer is %d B", m.NumOps(), got, chunk)
+	if got >= chunk {
+		t.Fatalf("second PredictModule allocated %d B, not less than the %d B chunk buffer", got, chunk)
+	}
+}
+
+// answerBytes encodes an answer as each op's ID and the bits of its three
+// predictions, so answers on two instances of one design compare as bytes.
+func answerBytes(preds []OpPrediction) []byte {
+	out := make([]byte, 0, len(preds)*32)
+	for _, pr := range preds {
+		out = binary.LittleEndian.AppendUint64(out, uint64(pr.Op.ID))
+		for _, v := range []float64{pr.VertPct, pr.HorizPct, pr.AvgPct} {
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+		}
+	}
+	return out
+}
+
+// TestPredictModuleConcurrentQueriesMatchSequential shares one Predictor,
+// and so its cached chunk buffer, among four goroutines that each query a
+// different catalog design several times. Every answer must equal, byte
+// for byte, that design's answer from a sequential query. Run it under
+// -race: a buffer two queries wrote at once would show here.
+func TestPredictModuleConcurrentQueriesMatchSequential(t *testing.T) {
+	p := keptPredictor(t)
+	cfg := flow.DefaultConfig()
+	designs := []string{"optical_flow", "spam_filtering", "digit_recognition", "bnn"}
+	gens := bench.Catalog()
+	want := make([][]byte, len(designs))
+	for i, name := range designs {
+		preds, err := p.PredictModule(gens[name](bench.WithDirectives()), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want[i] = answerBytes(preds)
+	}
+	const rounds = 3
+	var wg sync.WaitGroup
+	for i, name := range designs {
+		wg.Add(1)
+		go func(i int, name string) {
+			defer wg.Done()
+			m := gens[name](bench.WithDirectives())
+			for r := 0; r < rounds; r++ {
+				preds, err := p.PredictModule(m, cfg)
+				if err != nil {
+					t.Errorf("%s round %d: %v", name, r, err)
+					return
+				}
+				if !bytes.Equal(answerBytes(preds), want[i]) {
+					t.Errorf("%s round %d: concurrent answer differs from the sequential one", name, r)
+					return
+				}
+			}
+		}(i, name)
+	}
+	wg.Wait()
 }

@@ -166,8 +166,8 @@ func TableIV(cfg Config) (*TableIVResult, error) {
 	return TableIVOn(cfg, ds)
 }
 
-// TableIVOn evaluates Table IV on a pre-built dataset (the CLI reuses a
-// CSV-loaded dataset this way).
+// TableIVOn evaluates Table IV on a pre-built dataset; TableIV passes it
+// the paper dataset it has just built.
 func TableIVOn(cfg Config, ds *dataset.Dataset) (*TableIVResult, error) {
 	out := &TableIVResult{Samples: ds.Len(), MarginalFraction: ds.MarginalFraction()}
 	for _, filter := range []bool{false, true} {

@@ -58,17 +58,19 @@ func (c Category) String() string {
 // NumFeatures is the paper's feature-vector length.
 const NumFeatures = 302
 
-// spec is one registered feature.
+// spec is one registered feature: its name and category. The values are
+// written by Extractor.fill, in the order init registers the names.
 type spec struct {
 	name string
 	cat  Category
-	eval func(*Extractor, *opCtx) float64
 }
 
 var registry []spec
 
-func register(name string, cat Category, eval func(*Extractor, *opCtx) float64) {
-	registry = append(registry, spec{name: name, cat: cat, eval: eval})
+func register(cat Category, names ...string) {
+	for _, n := range names {
+		registry = append(registry, spec{name: n, cat: cat})
+	}
 }
 
 // Names returns the 302 feature names in vector order.
@@ -89,12 +91,12 @@ func Categories() []Category {
 	return out
 }
 
-// Extractor computes feature vectors for one implemented design. It caches
-// per-function aggregates so per-op extraction stays cheap, computes each
-// op's shared neighborhood and ΔTcs aggregates once per op (the feature
-// closures only read them), and reuses per-op scratch state (neighborhood
-// buffers, BFS marks, the aggregates) across Vector calls so extraction
-// allocates only the output vector.
+// Extractor computes feature vectors for one implemented design. It
+// computes each live function's Global block once, each op's shared
+// neighborhood and ΔTcs aggregates once per op (fill only reads them), and
+// reuses per-op scratch state (neighborhood buffers, BFS marks, the
+// aggregates) across Vector calls so extraction allocates only the output
+// vector.
 //
 // An Extractor is NOT safe for concurrent use: the scratch state makes
 // Vector/VectorInto calls mutually exclusive. The parallel dataset builder
@@ -128,7 +130,14 @@ type funcInfo struct {
 	memBits  float64
 	memPrims float64
 	mux      hls.MuxStats
+
+	// global is the Global Information block of every op in the function:
+	// it depends only on the function, the top function and the module.
+	global [globalWidth]float64
 }
+
+// globalWidth is the number of Global Information features.
+const globalWidth = 35
 
 // NewExtractor prepares feature extraction from the HLS artifacts of a
 // design. The graph must be the merged dependency graph of the same module
@@ -170,6 +179,12 @@ func NewExtractor(m *ir.Module, s *hls.Schedule, b *hls.Binding, g *graph.Graph,
 	}
 	e.emptyFI = &funcInfo{}
 	e.nLive = len(m.LiveFuncs())
+	// Every block reads the top function's fields, so the blocks are filled
+	// once topInfo is final.
+	for _, fi := range e.funcInfo {
+		e.fillGlobal(fi)
+	}
+	e.fillGlobal(e.emptyFI)
 	e.seen = make([]int, len(g.Nodes))
 	return e
 }
@@ -265,15 +280,19 @@ func (e *Extractor) aggregate(c *opCtx) {
 
 func (a *resAgg) add(nodes []*graph.Node) {
 	for _, n := range nodes {
-		r := n.Res()
-		for t := range a.sum {
-			v := float64(r.ByType(t))
+		for t, v := range resVec(n.Res()) {
 			a.sum[t] += v
 			if v > a.max[t] {
 				a.max[t] = v
 			}
 		}
 	}
+}
+
+// resVec is r's counts as float64 in resource-type order, the order of
+// hls.Resources.ByType: LUT, FF, DSP, BRAM.
+func resVec(r hls.Resources) [hls.ResourceTypeCount]float64 {
+	return [...]float64{float64(r.LUT), float64(r.FF), float64(r.DSP), float64(r.BRAM)}
 }
 
 func countKinds(dst *[ir.KindCount]float64, nodes []*graph.Node) {
@@ -294,23 +313,23 @@ func (e *Extractor) addDT(c *opCtx) {
 		mid := edge.Def
 		dt1 := float64(e.Sched.DeltaTcs(mid, c.op))
 		if dn := e.Graph.OfOp.Get(mid); dn != nil && dn != c.node {
-			addPerType(&a.dtPredSum, &a.dtPredMax, dn.Res(), dt1)
+			addPerType(&a.dtPredSum, &a.dtPredMax, resVec(dn.Res()), dt1)
 		}
 		for _, edge2 := range mid.Operands {
 			d2 := edge2.Def
 			if dn := e.Graph.OfOp.Get(d2); dn != nil && dn != c.node {
-				addPerType(&a.dtPred2Sum, nil, dn.Res(), dt1+float64(e.Sched.DeltaTcs(d2, mid)))
+				addPerType(&a.dtPred2Sum, nil, resVec(dn.Res()), dt1+float64(e.Sched.DeltaTcs(d2, mid)))
 			}
 		}
 	}
 	for _, mid := range c.op.Users() {
 		dt1 := float64(e.Sched.DeltaTcs(c.op, mid))
 		if un := e.Graph.OfOp.Get(mid); un != nil && un != c.node {
-			addPerType(&a.dtSuccSum, &a.dtSuccMax, un.Res(), dt1)
+			addPerType(&a.dtSuccSum, &a.dtSuccMax, resVec(un.Res()), dt1)
 		}
 		for _, u2 := range mid.Users() {
 			if un := e.Graph.OfOp.Get(u2); un != nil && un != c.node {
-				addPerType(&a.dtSucc2Sum, nil, un.Res(), dt1+float64(e.Sched.DeltaTcs(mid, u2)))
+				addPerType(&a.dtSucc2Sum, nil, resVec(un.Res()), dt1+float64(e.Sched.DeltaTcs(mid, u2)))
 			}
 		}
 	}
@@ -318,9 +337,9 @@ func (e *Extractor) addDT(c *opCtx) {
 
 // addPerType adds one neighbor's resource/ΔTcs term, per type, to sum and,
 // when max is not nil, to the running max.
-func addPerType(sum, max *[hls.ResourceTypeCount]float64, r hls.Resources, dt float64) {
+func addPerType(sum, max *[hls.ResourceTypeCount]float64, r [hls.ResourceTypeCount]float64, dt float64) {
 	for t := range sum {
-		v := float64(r.ByType(t)) / dt
+		v := r[t] / dt
 		sum[t] += v
 		if max != nil && v > max[t] {
 			max[t] = v
@@ -412,7 +431,7 @@ func (e *Extractor) edgeStats2(c *opCtx) (total, count, max int) {
 
 // Vector computes the 302-entry feature vector of one operation.
 func (e *Extractor) Vector(op *ir.Op) []float64 {
-	return e.VectorInto(make([]float64, len(registry)), op)
+	return e.VectorInto(make([]float64, NumFeatures), op)
 }
 
 // VectorInto computes the feature vector of op into dst, which must have
@@ -421,13 +440,10 @@ func (e *Extractor) Vector(op *ir.Op) []float64 {
 // design into one preallocated backing array, and by PredictModule, which
 // reuses one chunk of rows.
 func (e *Extractor) VectorInto(dst []float64, op *ir.Op) []float64 {
-	if len(dst) != len(registry) {
-		panic(fmt.Sprintf("features: VectorInto dst length %d, want %d", len(dst), len(registry)))
+	if len(dst) != NumFeatures {
+		panic(fmt.Sprintf("features: VectorInto dst length %d, want %d", len(dst), NumFeatures))
 	}
-	c := e.context(op)
-	for i, s := range registry {
-		dst[i] = s.eval(e, c)
-	}
+	e.fill(dst, e.context(op))
 	return dst
 }
 
@@ -449,12 +465,4 @@ func countPorts(nodes []*graph.Node) float64 {
 		}
 	}
 	return n
-}
-
-func (e *Extractor) devTotal(t int) float64 {
-	return float64(e.Dev.Totals.ByType(t))
-}
-
-func (e *Extractor) funcTotal(c *opCtx, t int) float64 {
-	return float64(c.fi.res.ByType(t))
 }

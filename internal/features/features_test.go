@@ -266,10 +266,11 @@ func TestScratchNeighborhoodsMatchGraphQueries(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Frozen reference: the per-type helpers and feature closures extraction ran
-// before each op's aggregates were computed in one pass. Each walked its
-// neighborhood again per resource type (and per feature), so they are slow,
-// but they define the bits aggregate() must reproduce.
+// Frozen reference: the per-type helpers and per-feature closures extraction
+// ran before each op's aggregates were computed in one pass and its columns
+// written by one fill. Each walks its neighborhood again per resource type
+// (and per feature), so they are slow, but they define the bits aggregate()
+// and fill must reproduce.
 
 func sumRes(nodes []*graph.Node, t int) float64 {
 	s := 0.0
@@ -371,30 +372,124 @@ func countKind(nodes []*graph.Node, k ir.OpKind) float64 {
 	return n
 }
 
-// referenceRegistry rebuilds the full 302-entry registry with the frozen
-// closures for the Resource, #Resource/ΔTcs and Operator Type categories,
-// which read the aggregates in production; the other categories never read
-// them and register as they do in production.
-func referenceRegistry() []spec {
-	saved := registry
-	defer func() { registry = saved }()
-	registry = nil
-	registerBitwidth()
-	registerInterconnect()
-	registerResourceRef()
-	registerTiming()
-	registerResourceDTRef()
-	registerOpTypeRef()
-	registerGlobal()
-	return registry
+// refFeature is one feature of the frozen reference: its name, category
+// and evaluator.
+type refFeature struct {
+	name string
+	cat  Category
+	eval func(*Extractor, *opCtx) float64
 }
 
-func registerResourceRef() {
+type refRegistry []refFeature
+
+func (r *refRegistry) add(name string, cat Category, eval func(*Extractor, *opCtx) float64) {
+	*r = append(*r, refFeature{name: name, cat: cat, eval: eval})
+}
+
+// referenceRegistry is the full 302-entry reference in the layout of Table
+// II: one frozen closure per feature, each computing its value on its own
+// from opCtx, the graph and the per-type helpers above.
+func referenceRegistry() []refFeature {
+	var r refRegistry
+	r.bitwidth()
+	r.interconnect()
+	r.resource()
+	r.timing()
+	r.resourceDT()
+	r.opType()
+	r.global()
+	return r
+}
+
+func (e *Extractor) devTotal(t int) float64 {
+	return float64(e.Dev.Totals.ByType(t))
+}
+
+func (e *Extractor) funcTotal(c *opCtx, t int) float64 {
+	return float64(c.fi.res.ByType(t))
+}
+
+func (r *refRegistry) bitwidth() {
+	r.add("bitwidth", CatBitwidth, func(e *Extractor, c *opCtx) float64 {
+		return float64(c.op.Bitwidth)
+	})
+}
+
+func (r *refRegistry) interconnect() {
+	reg := func(name string, f func(*Extractor, *opCtx) float64) {
+		r.add("ic_"+name, CatInterconnect, f)
+	}
+	reg("fanin", func(e *Extractor, c *opCtx) float64 { return float64(c.node.FanIn()) })
+	reg("fanout", func(e *Extractor, c *opCtx) float64 { return float64(c.node.FanOut()) })
+	reg("fan_sum", func(e *Extractor, c *opCtx) float64 {
+		return float64(c.node.FanIn() + c.node.FanOut())
+	})
+	reg("num_preds", func(e *Extractor, c *opCtx) float64 { return float64(len(c.node.In)) })
+	reg("num_succs", func(e *Extractor, c *opCtx) float64 { return float64(len(c.node.Out)) })
+	reg("num_neighbors", func(e *Extractor, c *opCtx) float64 {
+		return float64(len(c.node.In) + len(c.node.Out))
+	})
+	reg("max_edge_wires", func(e *Extractor, c *opCtx) float64 {
+		w, _, _ := c.node.MaxEdge()
+		return float64(w)
+	})
+	reg("max_edge_frac_fanin", func(e *Extractor, c *opCtx) float64 {
+		_, fi, _ := c.node.MaxEdge()
+		return fi
+	})
+	reg("max_edge_frac_fanout", func(e *Extractor, c *opCtx) float64 {
+		_, _, fo := c.node.MaxEdge()
+		return fo
+	})
+	reg("avg_in_edge_wires", func(e *Extractor, c *opCtx) float64 {
+		return safeDiv(float64(c.node.FanIn()), float64(len(c.node.In)))
+	})
+	reg("avg_out_edge_wires", func(e *Extractor, c *opCtx) float64 {
+		return safeDiv(float64(c.node.FanOut()), float64(len(c.node.Out)))
+	})
+	reg("port_neighbors_1hop", func(e *Extractor, c *opCtx) float64 {
+		return countPorts(c.n1both)
+	})
+	reg("num_preds_2hop", func(e *Extractor, c *opCtx) float64 { return float64(len(c.n2pred)) })
+	reg("num_succs_2hop", func(e *Extractor, c *opCtx) float64 { return float64(len(c.n2succ)) })
+	reg("num_neighbors_2hop", func(e *Extractor, c *opCtx) float64 { return float64(len(c.n2both)) })
+	reg("edge_total_2hop", func(e *Extractor, c *opCtx) float64 {
+		return float64(c.edge2Total)
+	})
+	reg("edge_count_2hop", func(e *Extractor, c *opCtx) float64 {
+		return float64(c.edge2Count)
+	})
+	reg("edge_max_2hop", func(e *Extractor, c *opCtx) float64 {
+		return float64(c.edge2Max)
+	})
+	reg("edge_max_frac_2hop", func(e *Extractor, c *opCtx) float64 {
+		return safeDiv(float64(c.edge2Max), float64(c.edge2Total))
+	})
+	reg("fanin_2hop", func(e *Extractor, c *opCtx) float64 {
+		s := 0.0
+		for _, n := range c.n2pred {
+			s += float64(n.FanIn())
+		}
+		return s
+	})
+	reg("fanout_2hop", func(e *Extractor, c *opCtx) float64 {
+		s := 0.0
+		for _, n := range c.n2succ {
+			s += float64(n.FanOut())
+		}
+		return s
+	})
+	reg("port_neighbors_2hop", func(e *Extractor, c *opCtx) float64 {
+		return countPorts(c.n2both)
+	})
+}
+
+func (r *refRegistry) resource() {
 	for t := 0; t < hls.ResourceTypeCount; t++ {
 		t := t
 		tn := hls.ResourceTypeNames[t]
 		reg := func(name string, f func(*Extractor, *opCtx) float64) {
-			register(fmt.Sprintf("res_%s_%s", tn, name), CatResource, f)
+			r.add(fmt.Sprintf("res_%s_%s", tn, name), CatResource, f)
 		}
 		reg("usage", func(e *Extractor, c *opCtx) float64 {
 			return float64(c.node.Res().ByType(t))
@@ -471,12 +566,27 @@ func registerResourceRef() {
 	}
 }
 
-func registerResourceDTRef() {
+func (r *refRegistry) timing() {
+	r.add("timing_delay_ns", CatTiming, func(e *Extractor, c *opCtx) float64 {
+		return c.char.DelayNS
+	})
+	r.add("timing_latency_cycles", CatTiming, func(e *Extractor, c *opCtx) float64 {
+		return float64(c.char.Latency)
+	})
+	r.add("timing_start_state", CatTiming, func(e *Extractor, c *opCtx) float64 {
+		return float64(e.Sched.Slots.Get(c.op).Start)
+	})
+	r.add("timing_finish_delay_ns", CatTiming, func(e *Extractor, c *opCtx) float64 {
+		return e.Sched.Slots.Get(c.op).FinishDelay
+	})
+}
+
+func (r *refRegistry) resourceDT() {
 	for t := 0; t < hls.ResourceTypeCount; t++ {
 		t := t
 		tn := hls.ResourceTypeNames[t]
 		reg := func(name string, f func(*Extractor, *opCtx) float64) {
-			register(fmt.Sprintf("dt_%s_%s", tn, name), CatResourceDT, f)
+			r.add(fmt.Sprintf("dt_%s_%s", tn, name), CatResourceDT, f)
 		}
 		reg("pred_sum", func(e *Extractor, c *opCtx) float64 {
 			s, _ := e.dtPred(c, t)
@@ -525,10 +635,10 @@ func registerResourceDTRef() {
 	}
 }
 
-func registerOpTypeRef() {
+func (r *refRegistry) opType() {
 	for _, k := range ir.AllKinds() {
 		k := k
-		register(fmt.Sprintf("type_is_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
+		r.add(fmt.Sprintf("type_is_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
 			if c.op.Kind == k {
 				return 1
 			}
@@ -537,16 +647,83 @@ func registerOpTypeRef() {
 	}
 	for _, k := range ir.AllKinds() {
 		k := k
-		register(fmt.Sprintf("type_nbr1_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
+		r.add(fmt.Sprintf("type_nbr1_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
 			return countKind(c.n1both, k)
 		})
 	}
 	for _, k := range ir.AllKinds() {
 		k := k
-		register(fmt.Sprintf("type_nbr2_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
+		r.add(fmt.Sprintf("type_nbr2_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
 			return countKind(c.n2both, k)
 		})
 	}
+}
+
+func (r *refRegistry) global() {
+	reg := func(name string, f func(*Extractor, *opCtx) float64) {
+		r.add("glob_"+name, CatGlobal, f)
+	}
+	for t := 0; t < hls.ResourceTypeCount; t++ {
+		t := t
+		reg("top_"+hls.ResourceTypeNames[t], func(e *Extractor, c *opCtx) float64 {
+			return float64(e.topInfo.res.ByType(t))
+		})
+	}
+	for t := 0; t < hls.ResourceTypeCount; t++ {
+		t := t
+		reg("fop_"+hls.ResourceTypeNames[t], func(e *Extractor, c *opCtx) float64 {
+			return float64(c.fi.res.ByType(t))
+		})
+	}
+	for t := 0; t < hls.ResourceTypeCount; t++ {
+		t := t
+		reg("fop_frac_"+hls.ResourceTypeNames[t], func(e *Extractor, c *opCtx) float64 {
+			return safeDiv(float64(c.fi.res.ByType(t)), float64(e.topInfo.res.ByType(t)))
+		})
+	}
+	reg("target_period_ns", func(e *Extractor, c *opCtx) float64 { return e.Sched.Clock.PeriodNS })
+	reg("clock_uncertainty_ns", func(e *Extractor, c *opCtx) float64 { return e.Sched.Clock.UncertaintyNS })
+	reg("est_clock_top_ns", func(e *Extractor, c *opCtx) float64 { return e.topInfo.estClock })
+	reg("est_clock_fop_ns", func(e *Extractor, c *opCtx) float64 { return c.fi.estClock })
+	reg("latency_top_cycles", func(e *Extractor, c *opCtx) float64 { return float64(e.topInfo.latency) })
+	reg("latency_fop_cycles", func(e *Extractor, c *opCtx) float64 { return float64(c.fi.latency) })
+	memFields := []struct {
+		name string
+		get  func(*funcInfo) float64
+	}{
+		{"words", func(fi *funcInfo) float64 { return fi.memWords }},
+		{"banks", func(fi *funcInfo) float64 { return fi.memBanks }},
+		{"bits", func(fi *funcInfo) float64 { return fi.memBits }},
+		{"primitives", func(fi *funcInfo) float64 { return fi.memPrims }},
+	}
+	for _, mf := range memFields {
+		mf := mf
+		reg("mem_fop_"+mf.name, func(e *Extractor, c *opCtx) float64 { return mf.get(c.fi) })
+	}
+	for _, mf := range memFields {
+		mf := mf
+		reg("mem_top_"+mf.name, func(e *Extractor, c *opCtx) float64 { return mf.get(e.topInfo) })
+	}
+	muxFields := []struct {
+		name string
+		get  func(hls.MuxStats) float64
+	}{
+		{"count", func(m hls.MuxStats) float64 { return float64(m.Count) }},
+		{"lut", func(m hls.MuxStats) float64 { return float64(m.Res.LUT) }},
+		{"avg_inputs", func(m hls.MuxStats) float64 { return m.AvgInputs }},
+		{"avg_width", func(m hls.MuxStats) float64 { return m.AvgWidth }},
+	}
+	for _, mf := range muxFields {
+		mf := mf
+		reg("mux_fop_"+mf.name, func(e *Extractor, c *opCtx) float64 { return mf.get(c.fi.mux) })
+	}
+	for _, mf := range muxFields {
+		mf := mf
+		reg("mux_top_"+mf.name, func(e *Extractor, c *opCtx) float64 { return mf.get(e.topInfo.mux) })
+	}
+	reg("num_live_funcs", func(e *Extractor, c *opCtx) float64 {
+		return float64(e.nLive)
+	})
 }
 
 // aggregateDesigns are the modules the aggregate equivalence test runs on:
@@ -596,7 +773,7 @@ func TestAggregatesMatchReference(t *testing.T) {
 	}
 }
 
-func checkAggregates(t *testing.T, design string, ex *Extractor, m *ir.Module, ref []spec) {
+func checkAggregates(t *testing.T, design string, ex *Extractor, m *ir.Module, ref []refFeature) {
 	t.Helper()
 	same := func(op *ir.Op, got, want float64, field string, args ...any) {
 		if math.Float64bits(got) != math.Float64bits(want) {

@@ -9,325 +9,189 @@ import (
 
 // The feature registry is populated once at init time. The layout follows
 // Table II of the paper; the total is asserted to be exactly NumFeatures
-// (302) so any edit that changes the count fails loudly.
+// (302) so any edit that changes the count fails loudly. fill writes the
+// values in the same order, one block per category.
 func init() {
-	registerBitwidth()
-	registerInterconnect()
-	registerResource()
-	registerTiming()
-	registerResourceDT()
-	registerOpType()
-	registerGlobal()
+	register(CatBitwidth, "bitwidth")
+	register(CatInterconnect,
+		"ic_fanin", "ic_fanout", "ic_fan_sum",
+		"ic_num_preds", "ic_num_succs", "ic_num_neighbors",
+		"ic_max_edge_wires", "ic_max_edge_frac_fanin", "ic_max_edge_frac_fanout",
+		"ic_avg_in_edge_wires", "ic_avg_out_edge_wires",
+		"ic_port_neighbors_1hop",
+		"ic_num_preds_2hop", "ic_num_succs_2hop", "ic_num_neighbors_2hop",
+		"ic_edge_total_2hop", "ic_edge_count_2hop", "ic_edge_max_2hop", "ic_edge_max_frac_2hop",
+		"ic_fanin_2hop", "ic_fanout_2hop", "ic_port_neighbors_2hop")
+	registerPerType(CatResource, "res",
+		"usage", "util_dev", "util_func",
+		"pred_total", "succ_total", "predsucc_sum",
+		"pred_util_dev", "succ_util_dev", "pred_util_func", "succ_util_func",
+		"max_nbr", "max_nbr_frac",
+		"pred2_total", "succ2_total", "sum2",
+		"pred2_util_dev", "succ2_util_dev", "pred2_util_func", "succ2_util_func",
+		"max_nbr2", "max_nbr2_frac",
+		"both2_total", "both2_util_dev", "both2_util_func")
+	register(CatTiming,
+		"timing_delay_ns", "timing_latency_cycles", "timing_start_state", "timing_finish_delay_ns")
+	registerPerType(CatResourceDT, "dt",
+		"pred_sum", "succ_sum", "sum", "pred_max", "succ_max",
+		"pred_util_func", "succ_util_func",
+		"pred2_sum", "succ2_sum", "sum2", "pred2_util_func", "succ2_util_func")
+	for _, prefix := range []string{"type_is_", "type_nbr1_", "type_nbr2_"} {
+		for _, k := range ir.AllKinds() {
+			register(CatOpType, prefix+k.String())
+		}
+	}
+	for _, group := range []string{"glob_top_", "glob_fop_", "glob_fop_frac_"} {
+		for _, tn := range hls.ResourceTypeNames {
+			register(CatGlobal, group+tn)
+		}
+	}
+	register(CatGlobal,
+		"glob_target_period_ns", "glob_clock_uncertainty_ns",
+		"glob_est_clock_top_ns", "glob_est_clock_fop_ns",
+		"glob_latency_top_cycles", "glob_latency_fop_cycles",
+		"glob_mem_fop_words", "glob_mem_fop_banks", "glob_mem_fop_bits", "glob_mem_fop_primitives",
+		"glob_mem_top_words", "glob_mem_top_banks", "glob_mem_top_bits", "glob_mem_top_primitives",
+		"glob_mux_fop_count", "glob_mux_fop_lut", "glob_mux_fop_avg_inputs", "glob_mux_fop_avg_width",
+		"glob_mux_top_count", "glob_mux_top_lut", "glob_mux_top_avg_inputs", "glob_mux_top_avg_width",
+		"glob_num_live_funcs")
 	if len(registry) != NumFeatures {
 		panic(fmt.Sprintf("features: registry has %d features, want %d", len(registry), NumFeatures))
 	}
 }
 
-func registerBitwidth() {
-	register("bitwidth", CatBitwidth, func(e *Extractor, c *opCtx) float64 {
-		return float64(c.op.Bitwidth)
-	})
-}
-
-func registerInterconnect() {
-	reg := func(name string, f func(*Extractor, *opCtx) float64) {
-		register("ic_"+name, CatInterconnect, f)
-	}
-	reg("fanin", func(e *Extractor, c *opCtx) float64 { return float64(c.node.FanIn()) })
-	reg("fanout", func(e *Extractor, c *opCtx) float64 { return float64(c.node.FanOut()) })
-	reg("fan_sum", func(e *Extractor, c *opCtx) float64 {
-		return float64(c.node.FanIn() + c.node.FanOut())
-	})
-	reg("num_preds", func(e *Extractor, c *opCtx) float64 { return float64(len(c.node.In)) })
-	reg("num_succs", func(e *Extractor, c *opCtx) float64 { return float64(len(c.node.Out)) })
-	reg("num_neighbors", func(e *Extractor, c *opCtx) float64 {
-		return float64(len(c.node.In) + len(c.node.Out))
-	})
-	reg("max_edge_wires", func(e *Extractor, c *opCtx) float64 {
-		w, _, _ := c.node.MaxEdge()
-		return float64(w)
-	})
-	reg("max_edge_frac_fanin", func(e *Extractor, c *opCtx) float64 {
-		_, fi, _ := c.node.MaxEdge()
-		return fi
-	})
-	reg("max_edge_frac_fanout", func(e *Extractor, c *opCtx) float64 {
-		_, _, fo := c.node.MaxEdge()
-		return fo
-	})
-	reg("avg_in_edge_wires", func(e *Extractor, c *opCtx) float64 {
-		return safeDiv(float64(c.node.FanIn()), float64(len(c.node.In)))
-	})
-	reg("avg_out_edge_wires", func(e *Extractor, c *opCtx) float64 {
-		return safeDiv(float64(c.node.FanOut()), float64(len(c.node.Out)))
-	})
-	reg("port_neighbors_1hop", func(e *Extractor, c *opCtx) float64 {
-		return countPorts(c.n1both)
-	})
-	reg("num_preds_2hop", func(e *Extractor, c *opCtx) float64 { return float64(len(c.n2pred)) })
-	reg("num_succs_2hop", func(e *Extractor, c *opCtx) float64 { return float64(len(c.n2succ)) })
-	reg("num_neighbors_2hop", func(e *Extractor, c *opCtx) float64 { return float64(len(c.n2both)) })
-	reg("edge_total_2hop", func(e *Extractor, c *opCtx) float64 {
-		return float64(c.edge2Total)
-	})
-	reg("edge_count_2hop", func(e *Extractor, c *opCtx) float64 {
-		return float64(c.edge2Count)
-	})
-	reg("edge_max_2hop", func(e *Extractor, c *opCtx) float64 {
-		return float64(c.edge2Max)
-	})
-	reg("edge_max_frac_2hop", func(e *Extractor, c *opCtx) float64 {
-		return safeDiv(float64(c.edge2Max), float64(c.edge2Total))
-	})
-	reg("fanin_2hop", func(e *Extractor, c *opCtx) float64 {
-		s := 0.0
-		for _, n := range c.n2pred {
-			s += float64(n.FanIn())
+// registerPerType registers one block of names per resource type, each
+// named prefix_TYPE_name.
+func registerPerType(cat Category, prefix string, names ...string) {
+	for _, tn := range hls.ResourceTypeNames {
+		for _, n := range names {
+			register(cat, fmt.Sprintf("%s_%s_%s", prefix, tn, n))
 		}
-		return s
-	})
-	reg("fanout_2hop", func(e *Extractor, c *opCtx) float64 {
-		s := 0.0
-		for _, n := range c.n2succ {
-			s += float64(n.FanOut())
-		}
-		return s
-	})
-	reg("port_neighbors_2hop", func(e *Extractor, c *opCtx) float64 {
-		return countPorts(c.n2both)
-	})
-}
-
-func registerResource() {
-	for t := 0; t < hls.ResourceTypeCount; t++ {
-		t := t
-		tn := hls.ResourceTypeNames[t]
-		reg := func(name string, f func(*Extractor, *opCtx) float64) {
-			register(fmt.Sprintf("res_%s_%s", tn, name), CatResource, f)
-		}
-		reg("usage", func(e *Extractor, c *opCtx) float64 {
-			return float64(c.node.Res().ByType(t))
-		})
-		reg("util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(float64(c.node.Res().ByType(t)), e.devTotal(t))
-		})
-		reg("util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(float64(c.node.Res().ByType(t)), e.funcTotal(c, t))
-		})
-		reg("pred_total", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.n1pred.sum[t]
-		})
-		reg("succ_total", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.n1succ.sum[t]
-		})
-		reg("predsucc_sum", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.n1pred.sum[t] + c.agg.n1succ.sum[t]
-		})
-		reg("pred_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.n1pred.sum[t], e.devTotal(t))
-		})
-		reg("succ_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.n1succ.sum[t], e.devTotal(t))
-		})
-		reg("pred_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.n1pred.sum[t], e.funcTotal(c, t))
-		})
-		reg("succ_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.n1succ.sum[t], e.funcTotal(c, t))
-		})
-		reg("max_nbr", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.n1both.max[t]
-		})
-		reg("max_nbr_frac", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.n1both.max[t], c.agg.n1both.sum[t])
-		})
-		reg("pred2_total", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.n2pred.sum[t]
-		})
-		reg("succ2_total", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.n2succ.sum[t]
-		})
-		reg("sum2", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.n2pred.sum[t] + c.agg.n2succ.sum[t]
-		})
-		reg("pred2_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.n2pred.sum[t], e.devTotal(t))
-		})
-		reg("succ2_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.n2succ.sum[t], e.devTotal(t))
-		})
-		reg("pred2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.n2pred.sum[t], e.funcTotal(c, t))
-		})
-		reg("succ2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.n2succ.sum[t], e.funcTotal(c, t))
-		})
-		reg("max_nbr2", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.n2both.max[t]
-		})
-		reg("max_nbr2_frac", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.n2both.max[t], c.agg.n2both.sum[t])
-		})
-		reg("both2_total", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.n2both.sum[t]
-		})
-		reg("both2_util_dev", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.n2both.sum[t], e.devTotal(t))
-		})
-		reg("both2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.n2both.sum[t], e.funcTotal(c, t))
-		})
 	}
 }
 
-func registerTiming() {
-	register("timing_delay_ns", CatTiming, func(e *Extractor, c *opCtx) float64 {
-		return c.char.DelayNS
-	})
-	register("timing_latency_cycles", CatTiming, func(e *Extractor, c *opCtx) float64 {
-		return float64(c.char.Latency)
-	})
-	register("timing_start_state", CatTiming, func(e *Extractor, c *opCtx) float64 {
-		return float64(e.Sched.Slots.Get(c.op).Start)
-	})
-	register("timing_finish_delay_ns", CatTiming, func(e *Extractor, c *opCtx) float64 {
-		return e.Sched.Slots.Get(c.op).FinishDelay
-	})
+// noKinds is the op-type one-hot block of an op of no valid kind.
+var noKinds [ir.KindCount]float64
+
+// fill writes the feature vector of the op c describes into dst, whose
+// length is NumFeatures, in registry order. Each value must keep the bits
+// of its per-feature evaluator in the tests' frozen reference, so each is
+// computed from the same terms in the same order;
+// TestAggregatesMatchReference checks every column.
+func (e *Extractor) fill(dst []float64, c *opCtx) {
+	node, a := c.node, &c.agg
+	v := dst[:0]
+
+	// Bitwidth.
+	v = append(v, float64(c.op.Bitwidth))
+
+	// Interconnection. The fan sums and the widest edge take one pass over
+	// the node's edges, as graph.Node.FanIn, FanOut and MaxEdge would.
+	fanIn, fanOut, maxWires := 0, 0, 0
+	for _, ed := range node.In {
+		fanIn += ed.Wires
+		maxWires = max(maxWires, ed.Wires)
+	}
+	for _, ed := range node.Out {
+		fanOut += ed.Wires
+		maxWires = max(maxWires, ed.Wires)
+	}
+	var fracIn, fracOut float64
+	if fanIn > 0 {
+		fracIn = float64(maxWires) / float64(fanIn)
+	}
+	if fanOut > 0 {
+		fracOut = float64(maxWires) / float64(fanOut)
+	}
+	fanIn2, fanOut2 := 0.0, 0.0
+	for _, n := range c.n2pred {
+		fanIn2 += float64(n.FanIn())
+	}
+	for _, n := range c.n2succ {
+		fanOut2 += float64(n.FanOut())
+	}
+	nIn, nOut := len(node.In), len(node.Out)
+	v = append(v,
+		float64(fanIn), float64(fanOut), float64(fanIn+fanOut),
+		float64(nIn), float64(nOut), float64(nIn+nOut),
+		float64(maxWires), fracIn, fracOut,
+		safeDiv(float64(fanIn), float64(nIn)), safeDiv(float64(fanOut), float64(nOut)),
+		countPorts(c.n1both),
+		float64(len(c.n2pred)), float64(len(c.n2succ)), float64(len(c.n2both)),
+		float64(c.edge2Total), float64(c.edge2Count), float64(c.edge2Max),
+		safeDiv(float64(c.edge2Max), float64(c.edge2Total)),
+		fanIn2, fanOut2, countPorts(c.n2both))
+
+	// Resource, per type.
+	own, dev, fn := resVec(node.Res()), resVec(e.Dev.Totals), resVec(c.fi.res)
+	for t := range own {
+		p1, s1 := a.n1pred.sum[t], a.n1succ.sum[t]
+		p2, s2, b2 := a.n2pred.sum[t], a.n2succ.sum[t], a.n2both.sum[t]
+		v = append(v,
+			own[t], safeDiv(own[t], dev[t]), safeDiv(own[t], fn[t]),
+			p1, s1, p1+s1,
+			safeDiv(p1, dev[t]), safeDiv(s1, dev[t]), safeDiv(p1, fn[t]), safeDiv(s1, fn[t]),
+			a.n1both.max[t], safeDiv(a.n1both.max[t], a.n1both.sum[t]),
+			p2, s2, p2+s2,
+			safeDiv(p2, dev[t]), safeDiv(s2, dev[t]), safeDiv(p2, fn[t]), safeDiv(s2, fn[t]),
+			a.n2both.max[t], safeDiv(a.n2both.max[t], b2),
+			b2, safeDiv(b2, dev[t]), safeDiv(b2, fn[t]))
+	}
+
+	// Timing.
+	slot := e.Sched.Slots.Get(c.op)
+	v = append(v, c.char.DelayNS, float64(c.char.Latency), float64(slot.Start), slot.FinishDelay)
+
+	// #Resource/ΔTcs, per type.
+	for t := range fn {
+		ps, ss := a.dtPredSum[t], a.dtSuccSum[t]
+		p2, s2 := a.dtPred2Sum[t], a.dtSucc2Sum[t]
+		v = append(v,
+			ps, ss, ps+ss, a.dtPredMax[t], a.dtSuccMax[t],
+			safeDiv(ps, fn[t]), safeDiv(ss, fn[t]),
+			p2, s2, p2+s2, safeDiv(p2, fn[t]), safeDiv(s2, fn[t]))
+	}
+
+	// Operator type: the one-hot kind, then the kind counts of the one-hop
+	// neighborhood and of the second ring, all in ir.AllKinds order, which
+	// is OpKind.Index order.
+	hot := len(v)
+	v = append(v, noKinds[:]...)
+	if c.op.Kind.Valid() {
+		v[hot+c.op.Kind.Index()] = 1
+	}
+	v = append(v, a.kind1[:]...)
+	v = append(v, a.kind2[:]...)
+
+	// Global information, computed once per function by NewExtractor.
+	v = append(v, c.fi.global[:]...)
+
+	if len(v) != NumFeatures {
+		panic(fmt.Sprintf("features: fill wrote %d features, want %d", len(v), NumFeatures))
+	}
 }
 
-func registerResourceDT() {
-	for t := 0; t < hls.ResourceTypeCount; t++ {
-		t := t
-		tn := hls.ResourceTypeNames[t]
-		reg := func(name string, f func(*Extractor, *opCtx) float64) {
-			register(fmt.Sprintf("dt_%s_%s", tn, name), CatResourceDT, f)
-		}
-		reg("pred_sum", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.dtPredSum[t]
-		})
-		reg("succ_sum", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.dtSuccSum[t]
-		})
-		reg("sum", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.dtPredSum[t] + c.agg.dtSuccSum[t]
-		})
-		reg("pred_max", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.dtPredMax[t]
-		})
-		reg("succ_max", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.dtSuccMax[t]
-		})
-		reg("pred_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.dtPredSum[t], e.funcTotal(c, t))
-		})
-		reg("succ_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.dtSuccSum[t], e.funcTotal(c, t))
-		})
-		reg("pred2_sum", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.dtPred2Sum[t]
-		})
-		reg("succ2_sum", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.dtSucc2Sum[t]
-		})
-		reg("sum2", func(e *Extractor, c *opCtx) float64 {
-			return c.agg.dtPred2Sum[t] + c.agg.dtSucc2Sum[t]
-		})
-		reg("pred2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.dtPred2Sum[t], e.funcTotal(c, t))
-		})
-		reg("succ2_util_func", func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(c.agg.dtSucc2Sum[t], e.funcTotal(c, t))
-		})
+// fillGlobal computes fi's Global Information block, in registry order.
+func (e *Extractor) fillGlobal(fi *funcInfo) {
+	top := e.topInfo
+	res, topRes := resVec(fi.res), resVec(top.res)
+	g := fi.global[:0]
+	g = append(g, topRes[:]...)
+	g = append(g, res[:]...)
+	for t := range res {
+		g = append(g, safeDiv(res[t], topRes[t]))
 	}
-}
-
-func registerOpType() {
-	for _, k := range ir.AllKinds() {
-		k := k
-		register(fmt.Sprintf("type_is_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
-			if c.op.Kind == k {
-				return 1
-			}
-			return 0
-		})
+	g = append(g,
+		e.Sched.Clock.PeriodNS, e.Sched.Clock.UncertaintyNS,
+		top.estClock, fi.estClock,
+		float64(top.latency), float64(fi.latency),
+		fi.memWords, fi.memBanks, fi.memBits, fi.memPrims,
+		top.memWords, top.memBanks, top.memBits, top.memPrims,
+		float64(fi.mux.Count), float64(fi.mux.Res.LUT), fi.mux.AvgInputs, fi.mux.AvgWidth,
+		float64(top.mux.Count), float64(top.mux.Res.LUT), top.mux.AvgInputs, top.mux.AvgWidth,
+		float64(e.nLive))
+	if len(g) != globalWidth {
+		panic(fmt.Sprintf("features: fillGlobal wrote %d features, want %d", len(g), globalWidth))
 	}
-	for _, k := range ir.AllKinds() {
-		i := k.Index()
-		register(fmt.Sprintf("type_nbr1_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
-			return c.agg.kind1[i]
-		})
-	}
-	for _, k := range ir.AllKinds() {
-		i := k.Index()
-		register(fmt.Sprintf("type_nbr2_%s", k), CatOpType, func(e *Extractor, c *opCtx) float64 {
-			return c.agg.kind2[i]
-		})
-	}
-}
-
-func registerGlobal() {
-	reg := func(name string, f func(*Extractor, *opCtx) float64) {
-		register("glob_"+name, CatGlobal, f)
-	}
-	for t := 0; t < hls.ResourceTypeCount; t++ {
-		t := t
-		reg("top_"+hls.ResourceTypeNames[t], func(e *Extractor, c *opCtx) float64 {
-			return float64(e.topInfo.res.ByType(t))
-		})
-	}
-	for t := 0; t < hls.ResourceTypeCount; t++ {
-		t := t
-		reg("fop_"+hls.ResourceTypeNames[t], func(e *Extractor, c *opCtx) float64 {
-			return float64(c.fi.res.ByType(t))
-		})
-	}
-	for t := 0; t < hls.ResourceTypeCount; t++ {
-		t := t
-		reg("fop_frac_"+hls.ResourceTypeNames[t], func(e *Extractor, c *opCtx) float64 {
-			return safeDiv(float64(c.fi.res.ByType(t)), float64(e.topInfo.res.ByType(t)))
-		})
-	}
-	reg("target_period_ns", func(e *Extractor, c *opCtx) float64 { return e.Sched.Clock.PeriodNS })
-	reg("clock_uncertainty_ns", func(e *Extractor, c *opCtx) float64 { return e.Sched.Clock.UncertaintyNS })
-	reg("est_clock_top_ns", func(e *Extractor, c *opCtx) float64 { return e.topInfo.estClock })
-	reg("est_clock_fop_ns", func(e *Extractor, c *opCtx) float64 { return c.fi.estClock })
-	reg("latency_top_cycles", func(e *Extractor, c *opCtx) float64 { return float64(e.topInfo.latency) })
-	reg("latency_fop_cycles", func(e *Extractor, c *opCtx) float64 { return float64(c.fi.latency) })
-	memFields := []struct {
-		name string
-		get  func(*funcInfo) float64
-	}{
-		{"words", func(fi *funcInfo) float64 { return fi.memWords }},
-		{"banks", func(fi *funcInfo) float64 { return fi.memBanks }},
-		{"bits", func(fi *funcInfo) float64 { return fi.memBits }},
-		{"primitives", func(fi *funcInfo) float64 { return fi.memPrims }},
-	}
-	for _, mf := range memFields {
-		mf := mf
-		reg("mem_fop_"+mf.name, func(e *Extractor, c *opCtx) float64 { return mf.get(c.fi) })
-	}
-	for _, mf := range memFields {
-		mf := mf
-		reg("mem_top_"+mf.name, func(e *Extractor, c *opCtx) float64 { return mf.get(e.topInfo) })
-	}
-	muxFields := []struct {
-		name string
-		get  func(hls.MuxStats) float64
-	}{
-		{"count", func(m hls.MuxStats) float64 { return float64(m.Count) }},
-		{"lut", func(m hls.MuxStats) float64 { return float64(m.Res.LUT) }},
-		{"avg_inputs", func(m hls.MuxStats) float64 { return m.AvgInputs }},
-		{"avg_width", func(m hls.MuxStats) float64 { return m.AvgWidth }},
-	}
-	for _, mf := range muxFields {
-		mf := mf
-		reg("mux_fop_"+mf.name, func(e *Extractor, c *opCtx) float64 { return mf.get(c.fi.mux) })
-	}
-	for _, mf := range muxFields {
-		mf := mf
-		reg("mux_top_"+mf.name, func(e *Extractor, c *opCtx) float64 { return mf.get(e.topInfo.mux) })
-	}
-	reg("num_live_funcs", func(e *Extractor, c *opCtx) float64 {
-		return float64(e.nLive)
-	})
 }

@@ -3,7 +3,7 @@
 # whole module (vet and gofmt reach perfbench/ too), then the steps go
 # test cannot take: benchmark and fuzz smokes, repeated race runs, and the
 # contracts that need real processes (a live congserve, the hlscong
-# dataset build at two worker counts and cut short). These 19 steps are
+# dataset build at two worker counts and cut short). These 20 steps are
 # the gate every PR must keep green (see ROADMAP.md).
 set -eu
 cd "$(dirname "$0")/.."
@@ -102,6 +102,11 @@ go test -run '^$' -fuzz 'FuzzDecodeJSONRows' -fuzztime 5s ./internal/serve/ > /d
 # default 60s minimization of each new input would take the whole smoke.
 echo "== IR text parser fuzz smoke (5s) =="
 go test -run '^$' -fuzz 'FuzzParseText' -fuzztime 5s -fuzzminimizetime 10x ./internal/ir/ > /dev/null
+
+# The whole design query past the parser: every input ParseText accepts
+# goes through PredictModule and Hotspots. Its seeds are whole designs too.
+echo "== design query fuzz smoke (5s) =="
+go test -run '^$' -fuzz '^FuzzPredictModule$' -fuzztime 5s -fuzzminimizetime 10x ./internal/core/ > /dev/null
 
 # The multi-core serving contract, repeated under the race detector:
 # sharded responses byte-identical to single-shard, concurrent load spread
