@@ -8,7 +8,6 @@ package congestion
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/fpga"
@@ -155,29 +154,6 @@ func (m *Map) RadialProfile(mt Metric, bins int) []float64 {
 		}
 	}
 	return sums
-}
-
-// Percentile returns the q-th percentile (0..100) of the metric across
-// tiles.
-func (m *Map) Percentile(mt Metric, q float64) float64 {
-	var vals []float64
-	for x := 0; x < m.Dev.Cols; x++ {
-		for y := 0; y < m.Dev.Rows; y++ {
-			vals = append(vals, m.At(mt, fpga.XY{X: x, Y: y}))
-		}
-	}
-	sort.Float64s(vals)
-	if len(vals) == 0 {
-		return 0
-	}
-	idx := int(q / 100 * float64(len(vals)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(vals) {
-		idx = len(vals) - 1
-	}
-	return vals[idx]
 }
 
 // heatRamp maps intensity 0..1 to a character, mimicking the color ramp of

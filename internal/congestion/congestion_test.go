@@ -1,8 +1,6 @@
 package congestion
 
 import (
-	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -83,20 +81,6 @@ func TestRadialProfileCenterHot(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	m := testMap()
-	p0 := m.Percentile(Vertical, 0)
-	p50 := m.Percentile(Vertical, 50)
-	p100 := m.Percentile(Vertical, 100)
-	if !(p0 <= p50 && p50 <= p100) {
-		t.Errorf("percentiles not ordered: %v %v %v", p0, p50, p100)
-	}
-	s := m.Summarize(Vertical)
-	if p100 != s.Max || p0 != s.Min {
-		t.Errorf("extreme percentiles %v/%v != min/max %v/%v", p0, p100, s.Min, s.Max)
-	}
-}
-
 func TestRenderASCII(t *testing.T) {
 	m := testMap()
 	out := m.RenderASCII(Average, 2, 4)
@@ -126,30 +110,5 @@ func TestZeroMap(t *testing.T) {
 	}
 	if m.CongestedTiles(0) != 0 {
 		t.Error("zero map has congested tiles at threshold 0")
-	}
-}
-
-func TestWritePGM(t *testing.T) {
-	m := testMap()
-	var buf bytes.Buffer
-	if err := m.WritePGM(&buf, Vertical, 200); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	header := fmt.Sprintf("P5\n%d %d\n255\n", m.Dev.Cols, m.Dev.Rows)
-	if !bytes.HasPrefix(data, []byte(header)) {
-		t.Fatalf("bad header: %q", data[:20])
-	}
-	if len(data) != len(header)+m.Dev.Cols*m.Dev.Rows {
-		t.Fatalf("payload size %d", len(data)-len(header))
-	}
-	// The center pixel must be brighter than a corner pixel.
-	px := func(x, yTopDown int) byte { return data[len(header)+yTopDown*m.Dev.Cols+x] }
-	if px(m.Dev.Cols/2, m.Dev.Rows/2) <= px(0, 0) {
-		t.Error("center not brighter than corner")
-	}
-	// Degenerate maxPct defaults rather than dividing by zero.
-	if err := m.WritePGM(&buf, Average, 0); err != nil {
-		t.Fatal(err)
 	}
 }

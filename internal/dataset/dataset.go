@@ -2,16 +2,11 @@
 // one sample per back-traced IR operation, pairing the 302-entry feature
 // vector with the vertical/horizontal congestion labels of the CLB the
 // operation landed in. It implements the paper's marginal-operation sample
-// filtering (Sec. III-C1) and CSV serialization for the cmd/benchgen tool.
+// filtering (Sec. III-C1).
 package dataset
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/backtrace"
 	"repro/internal/features"
@@ -118,11 +113,6 @@ func (d *Dataset) FromTrace(design string, traced []backtrace.OpCongestion, ex *
 	}
 }
 
-// Merge appends another dataset's samples.
-func (d *Dataset) Merge(o *Dataset) {
-	d.Samples = append(d.Samples, o.Samples...)
-}
-
 // Len returns the sample count.
 func (d *Dataset) Len() int { return len(d.Samples) }
 
@@ -222,103 +212,4 @@ func (d *Dataset) Matrix(t Target) ([][]float64, []float64) {
 		y[i] = s.Label(t)
 	}
 	return X, y
-}
-
-// WriteCSV serializes the dataset with a header row. Layout: design, op_id,
-// kind, src, margin, replica, vert, horiz, avg, then the feature columns.
-func (d *Dataset) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cols := append([]string{"design", "op_id", "kind", "src", "margin", "replica",
-		"replica_root", "vert_pct", "horiz_pct", "avg_pct"}, d.FeatureNames...)
-	if _, err := bw.WriteString(strings.Join(cols, ",") + "\n"); err != nil {
-		return err
-	}
-	for _, s := range d.Samples {
-		row := make([]string, 0, len(cols))
-		row = append(row,
-			s.Design,
-			strconv.Itoa(s.OpID),
-			s.Kind.String(),
-			s.Src.String(),
-			strconv.FormatBool(s.Margin),
-			strconv.FormatBool(s.Replica),
-			strconv.Itoa(s.ReplicaRoot),
-			formatF(s.VertPct),
-			formatF(s.HorizPct),
-			formatF(s.AvgPct),
-		)
-		for _, f := range s.Features {
-			row = append(row, formatF(f))
-		}
-		if _, err := bw.WriteString(strings.Join(row, ",") + "\n"); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-func formatF(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
-
-// ReadCSV parses a dataset written by WriteCSV.
-func ReadCSV(r io.Reader) (*Dataset, error) {
-	sc := bufio.NewScanner(r)
-	// The buffer grows from nil as lines need it, up to a 4 MiB line.
-	sc.Buffer(nil, 1<<22)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("dataset: empty CSV")
-	}
-	header := strings.Split(sc.Text(), ",")
-	const meta = 10
-	if len(header) <= meta {
-		return nil, fmt.Errorf("dataset: header has %d columns", len(header))
-	}
-	d := &Dataset{FeatureNames: header[meta:]}
-	line := 1
-	for sc.Scan() {
-		line++
-		fields := strings.Split(sc.Text(), ",")
-		if len(fields) != len(header) {
-			return nil, fmt.Errorf("dataset: line %d has %d fields, want %d", line, len(fields), len(header))
-		}
-		s := &Sample{Design: fields[0]}
-		var err error
-		if s.OpID, err = strconv.Atoi(fields[1]); err != nil {
-			return nil, fmt.Errorf("dataset: line %d op_id: %w", line, err)
-		}
-		s.Src = parseLoc(fields[3])
-		s.Margin = fields[4] == "true"
-		s.Replica = fields[5] == "true"
-		if s.ReplicaRoot, err = strconv.Atoi(fields[6]); err != nil {
-			return nil, fmt.Errorf("dataset: line %d replica_root: %w", line, err)
-		}
-		if s.VertPct, err = strconv.ParseFloat(fields[7], 64); err != nil {
-			return nil, fmt.Errorf("dataset: line %d vert: %w", line, err)
-		}
-		if s.HorizPct, err = strconv.ParseFloat(fields[8], 64); err != nil {
-			return nil, fmt.Errorf("dataset: line %d horiz: %w", line, err)
-		}
-		if s.AvgPct, err = strconv.ParseFloat(fields[9], 64); err != nil {
-			return nil, fmt.Errorf("dataset: line %d avg: %w", line, err)
-		}
-		s.Features = make([]float64, len(header)-meta)
-		for j := meta; j < len(fields); j++ {
-			if s.Features[j-meta], err = strconv.ParseFloat(fields[j], 64); err != nil {
-				return nil, fmt.Errorf("dataset: line %d col %d: %w", line, j, err)
-			}
-		}
-		d.Samples = append(d.Samples, s)
-	}
-	return d, sc.Err()
-}
-
-func parseLoc(s string) ir.SourceLoc {
-	i := strings.LastIndexByte(s, ':')
-	if i < 0 {
-		return ir.SourceLoc{File: s}
-	}
-	line, err := strconv.Atoi(s[i+1:])
-	if err != nil {
-		return ir.SourceLoc{File: s}
-	}
-	return ir.SourceLoc{File: s[:i], Line: line}
 }

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -64,7 +63,7 @@ func TestMatrixShape(t *testing.T) {
 func TestMergeAndLen(t *testing.T) {
 	a := synthDataset(4, rand.New(rand.NewSource(1)))
 	b := synthDataset(6, rand.New(rand.NewSource(2)))
-	a.Merge(b)
+	a.Samples = append(a.Samples, b.Samples...)
 	if a.Len() != 10 {
 		t.Fatalf("merged len = %d", a.Len())
 	}
@@ -118,62 +117,6 @@ func TestMarginalFilterCriterion(t *testing.T) {
 	}
 }
 
-func TestCSVRoundTrip(t *testing.T) {
-	d := synthDataset(25, rand.New(rand.NewSource(3)))
-	d.Samples[3].Margin = true
-	d.Samples[3].Replica = true
-	d.Samples[3].ReplicaRoot = 7
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != d.Len() {
-		t.Fatalf("roundtrip len %d != %d", back.Len(), d.Len())
-	}
-	for i, s := range back.Samples {
-		o := d.Samples[i]
-		if s.OpID != o.OpID || s.Margin != o.Margin || s.Replica != o.Replica ||
-			s.ReplicaRoot != o.ReplicaRoot || s.Design != o.Design {
-			t.Fatalf("sample %d metadata mismatch: %+v vs %+v", i, s, o)
-		}
-		if s.Src != o.Src {
-			t.Fatalf("sample %d src %v != %v", i, s.Src, o.Src)
-		}
-		for _, tg := range Targets {
-			if diff := s.Label(tg) - o.Label(tg); diff > 1e-6 || diff < -1e-6 {
-				t.Fatalf("sample %d label %v mismatch", i, tg)
-			}
-		}
-		for j := range s.Features {
-			if diff := s.Features[j] - o.Features[j]; diff > 1e-6 || diff < -1e-6 {
-				t.Fatalf("sample %d feature %d mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString("")); err == nil {
-		t.Error("empty CSV accepted")
-	}
-	if _, err := ReadCSV(bytes.NewBufferString("a,b,c\n")); err == nil {
-		t.Error("short header accepted")
-	}
-	d := synthDataset(1, rand.New(rand.NewSource(1)))
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	broken := bytes.Replace(buf.Bytes(), []byte("\n"), []byte("\nbad,row\n"), 1)
-	if _, err := ReadCSV(bytes.NewBuffer(broken)); err == nil {
-		t.Error("ragged row accepted")
-	}
-}
-
 // Property: filtering never removes non-replica samples and never grows
 // the dataset.
 func TestFilterProperty(t *testing.T) {
@@ -202,15 +145,6 @@ func TestFilterProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParseLoc(t *testing.T) {
-	if got := parseLoc("a.cpp:17"); got != (ir.SourceLoc{File: "a.cpp", Line: 17}) {
-		t.Errorf("parseLoc = %v", got)
-	}
-	if got := parseLoc("<unknown>"); got.Line != 0 {
-		t.Errorf("parseLoc(<unknown>) = %v", got)
 	}
 }
 

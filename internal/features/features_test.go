@@ -362,6 +362,55 @@ func (e *Extractor) dtSucc2(c *opCtx, t int) float64 {
 	return sum
 }
 
+// maxEdge returns the largest wire weight among the node's direct
+// connections and that edge's share of the node's fan-in and fan-out — the
+// paper's "max number of wires among all connections" features.
+func maxEdge(n *graph.Node) (wires int, fracIn, fracOut float64) {
+	for _, e := range n.In {
+		if e.Wires > wires {
+			wires = e.Wires
+		}
+	}
+	for _, e := range n.Out {
+		if e.Wires > wires {
+			wires = e.Wires
+		}
+	}
+	if fi := n.FanIn(); fi > 0 {
+		fracIn = float64(wires) / float64(fi)
+	}
+	if fo := n.FanOut(); fo > 0 {
+		fracOut = float64(wires) / float64(fo)
+	}
+	return wires, fracIn, fracOut
+}
+
+// TestMaxEdge checks the reference maxEdge on a hand-computed diamond:
+// p feeds a over 32 wires and c over 8, and both feed the sink d.
+func TestMaxEdge(t *testing.T) {
+	m := ir.NewModule("m")
+	b := ir.NewBuilder(m.NewFunction("f"))
+	p := b.Port("p", 32)
+	a := b.Op(ir.KindNot, 32, p)
+	c := b.OpBits(ir.KindBitSel, 8, p, 8)
+	d := b.Op(ir.KindAdd, 32, a, c)
+	g := graph.Build(m, nil)
+	w, fi, fo := maxEdge(g.OfOp.Get(d))
+	if w != 32 {
+		t.Errorf("max edge = %d", w)
+	}
+	if fi != 32.0/40.0 {
+		t.Errorf("frac of fanin = %v", fi)
+	}
+	if fo != 0 {
+		t.Errorf("frac of fanout on sink node = %v", fo)
+	}
+	w, fi, fo = maxEdge(g.OfOp.Get(p))
+	if w != 32 || fi != 0 || fo != 32.0/40.0 {
+		t.Errorf("source node: max edge %d, frac of fanin %v, frac of fanout %v", w, fi, fo)
+	}
+}
+
 func countKind(nodes []*graph.Node, k ir.OpKind) float64 {
 	n := 0.0
 	for _, x := range nodes {
@@ -430,15 +479,15 @@ func (r *refRegistry) interconnect() {
 		return float64(len(c.node.In) + len(c.node.Out))
 	})
 	reg("max_edge_wires", func(e *Extractor, c *opCtx) float64 {
-		w, _, _ := c.node.MaxEdge()
+		w, _, _ := maxEdge(c.node)
 		return float64(w)
 	})
 	reg("max_edge_frac_fanin", func(e *Extractor, c *opCtx) float64 {
-		_, fi, _ := c.node.MaxEdge()
+		_, fi, _ := maxEdge(c.node)
 		return fi
 	})
 	reg("max_edge_frac_fanout", func(e *Extractor, c *opCtx) float64 {
-		_, _, fo := c.node.MaxEdge()
+		_, _, fo := maxEdge(c.node)
 		return fo
 	})
 	reg("avg_in_edge_wires", func(e *Extractor, c *opCtx) float64 {

@@ -87,7 +87,7 @@ func (e *Extractor) fill(dst []float64, c *opCtx) {
 	v = append(v, float64(c.op.Bitwidth))
 
 	// Interconnection. The fan sums and the widest edge take one pass over
-	// the node's edges, as graph.Node.FanIn, FanOut and MaxEdge would.
+	// the node's edges.
 	fanIn, fanOut, maxWires := 0, 0, 0
 	for _, ed := range node.In {
 		fanIn += ed.Wires

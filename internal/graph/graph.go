@@ -228,29 +228,6 @@ func (n *Node) NeighborsK(k, dir int) []*Node {
 	return out
 }
 
-// MaxEdge returns the largest wire weight among the node's direct
-// connections and that edge's share of the node's fan-in and fan-out — the
-// paper's "max number of wires among all connections" features.
-func (n *Node) MaxEdge() (wires int, fracIn, fracOut float64) {
-	for _, e := range n.In {
-		if e.Wires > wires {
-			wires = e.Wires
-		}
-	}
-	for _, e := range n.Out {
-		if e.Wires > wires {
-			wires = e.Wires
-		}
-	}
-	if fi := n.FanIn(); fi > 0 {
-		fracIn = float64(wires) / float64(fi)
-	}
-	if fo := n.FanOut(); fo > 0 {
-		fracOut = float64(wires) / float64(fo)
-	}
-	return wires, fracIn, fracOut
-}
-
 // EdgeStatsK aggregates the wire weights of all edges incident to the k-hop
 // neighborhood of n (edges with at least one endpoint in the neighborhood
 // or at n): total weight, edge count, and the maximum single edge.

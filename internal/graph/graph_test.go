@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/hls"
@@ -131,22 +130,6 @@ func TestNeighborsK(t *testing.T) {
 	_ = c
 }
 
-func TestMaxEdge(t *testing.T) {
-	m, p, _, _, d := diamond()
-	g := Build(m, nil)
-	w, fi, fo := g.OfOp.Get(d).MaxEdge()
-	if w != 32 {
-		t.Errorf("max edge = %d", w)
-	}
-	if fi != 32.0/40.0 {
-		t.Errorf("frac of fanin = %v", fi)
-	}
-	if fo != 0 {
-		t.Errorf("frac of fanout on sink node = %v", fo)
-	}
-	_ = p
-}
-
 func TestEdgeStatsK(t *testing.T) {
 	m, p, _, _, _ := diamond()
 	g := Build(m, nil)
@@ -178,28 +161,4 @@ func TestGraphDeterminism(t *testing.T) {
 			t.Fatalf("node %d differs across identical builds", i)
 		}
 	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	m, p, _, _, _ := diamond()
-	g := Build(m, nil)
-	var buf strings.Builder
-	if err := g.WriteDOT(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"digraph", "shape=box", "->", "label=32", "}"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, out)
-		}
-	}
-	// Truncation cap keeps large graphs bounded.
-	var small strings.Builder
-	if err := g.WriteDOT(&small, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(small.String(), "more nodes") {
-		t.Error("truncation marker missing")
-	}
-	_ = p
 }

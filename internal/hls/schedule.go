@@ -319,15 +319,6 @@ func EstimateResources(f *ir.Function) Resources {
 	return r
 }
 
-// EstimateModuleResources sums estimates over all live functions.
-func EstimateModuleResources(m *ir.Module) Resources {
-	var r Resources
-	for _, f := range m.LiveFuncs() {
-		r = r.Add(EstimateResources(f))
-	}
-	return r
-}
-
 // SortedOps returns the function's ops ordered by (Start, ID) — the order
 // binding walks them.
 func (s *Schedule) SortedOps(f *ir.Function) []*ir.Op {

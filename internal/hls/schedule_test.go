@@ -225,9 +225,6 @@ func TestEstimateResources(t *testing.T) {
 	if r.BRAM == 0 {
 		t.Error("estimate misses the array BRAM")
 	}
-	if EstimateModuleResources(m) != r {
-		t.Error("module estimate != single function estimate")
-	}
 }
 
 func TestSortedOps(t *testing.T) {

@@ -2,7 +2,7 @@
 // used throughout this repository. It mirrors the post-front-end IR that an
 // HLS tool (e.g. Vivado HLS) produces from C/C++: a dataflow graph of typed,
 // bit-accurate operations grouped into functions, with loops, arrays and
-// synthesis directives (unrolling, pipelining, inlining, array partitioning)
+// synthesis directives (unrolling, pipelining, array partitioning)
 // represented explicitly.
 //
 // The congestion predictor in internal/core consumes this IR; the benchmark
@@ -316,9 +316,9 @@ func (l *Loop) EffectiveTrips() int {
 }
 
 // Function is one HLS function: a flat dataflow graph plus declared arrays
-// and loops. Call ops reference callee functions; when a function is inlined
-// its ops are cloned into the caller and the Function is dropped from the
-// module's live set.
+// and loops. Call ops reference callee functions, which keep their own
+// bodies: an inlined configuration is built with the callee's ops already
+// in the caller.
 type Function struct {
 	Name   string
 	Module *Module
@@ -326,8 +326,7 @@ type Function struct {
 	Arrays []*Array
 	Loops  []*Loop
 
-	Inlined bool // true if this function body has been inlined away
-	IsTop   bool
+	IsTop bool
 
 	// Callers/Callees track the static call graph.
 	Callees []*Function
@@ -383,15 +382,10 @@ func (m *Module) SetTop(f *Function) {
 	f.IsTop = true
 }
 
-// LiveFuncs returns the functions that still own operations (i.e. have not
-// been inlined away), top first, the rest sorted by name.
+// LiveFuncs returns the module's functions, top first, the rest sorted by
+// name. It returns a new slice; m.Funcs keeps its creation order.
 func (m *Module) LiveFuncs() []*Function {
-	var fs []*Function
-	for _, f := range m.Funcs {
-		if !f.Inlined {
-			fs = append(fs, f)
-		}
-	}
+	fs := slices.Clone(m.Funcs)
 	sort.Slice(fs, func(i, j int) bool {
 		if fs[i].IsTop != fs[j].IsTop {
 			return fs[i].IsTop
@@ -411,16 +405,13 @@ func (m *Module) FuncByName(name string) *Function {
 	return nil
 }
 
-// AllOps returns every operation in every live function, in ID order.
+// AllOps returns every operation in every function, in ID order.
 func (m *Module) AllOps() []*Op {
 	// IDs are unique and below the ID counter in a valid module, so putting
 	// each op at its ID orders them in one pass. A module that breaks this
 	// (Validate would reject it) is sorted instead.
 	byID := make([]*Op, m.nextOpID)
 	for _, f := range m.Funcs {
-		if f.Inlined {
-			continue
-		}
 		for _, o := range f.Ops {
 			if uint(o.ID) >= uint(len(byID)) || byID[o.ID] != nil {
 				return m.sortedOps()
@@ -440,21 +431,17 @@ func (m *Module) AllOps() []*Op {
 func (m *Module) sortedOps() []*Op {
 	ops := make([]*Op, 0, m.NumOps())
 	for _, f := range m.Funcs {
-		if !f.Inlined {
-			ops = append(ops, f.Ops...)
-		}
+		ops = append(ops, f.Ops...)
 	}
 	slices.SortStableFunc(ops, func(a, b *Op) int { return cmp.Compare(a.ID, b.ID) })
 	return ops
 }
 
-// NumOps returns the total live operation count.
+// NumOps returns the total operation count.
 func (m *Module) NumOps() int {
 	n := 0
 	for _, f := range m.Funcs {
-		if !f.Inlined {
-			n += len(f.Ops)
-		}
+		n += len(f.Ops)
 	}
 	return n
 }

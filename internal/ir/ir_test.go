@@ -165,9 +165,8 @@ func TestModuleQueries(t *testing.T) {
 	if len(live) != 2 || live[0] != f {
 		t.Fatalf("LiveFuncs = %v (top must come first)", live)
 	}
-	g.Inlined = true
-	if len(m.LiveFuncs()) != 1 || m.NumOps() != 2 {
-		t.Error("inlined function still counted")
+	if m.NumOps() != len(f.Ops)+len(g.Ops) {
+		t.Errorf("NumOps = %d, want %d", m.NumOps(), len(f.Ops)+len(g.Ops))
 	}
 }
 

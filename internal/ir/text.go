@@ -28,7 +28,7 @@ import (
 //	  %9 = load i8 mem=window_buf %8 @face_detect.cpp:60
 //	  %12 = call "call_filter_pixel" i16 %9
 
-// WriteText serializes the module's live functions.
+// WriteText serializes the module's functions.
 func WriteText(w io.Writer, m *Module) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "module %s\n", m.Name)
@@ -37,16 +37,11 @@ func WriteText(w io.Writer, m *Module) error {
 		if f.IsTop {
 			role = " top"
 		}
-		// Call-graph edges: only live callees are serialized — inlined
-		// functions no longer exist as text and their edges are dead
-		// (resolution skips inlined callees anyway).
-		var callees []string
-		for _, cf := range f.Callees {
-			if !cf.Inlined {
-				callees = append(callees, cf.Name)
+		if len(f.Callees) > 0 {
+			callees := make([]string, len(f.Callees))
+			for i, cf := range f.Callees {
+				callees[i] = cf.Name
 			}
-		}
-		if len(callees) > 0 {
 			role += " calls=" + strings.Join(callees, ",")
 		}
 		fmt.Fprintf(bw, "func %s%s\n", f.Name, role)

@@ -9,8 +9,8 @@ import "fmt"
 //   - def/user lists are mutually consistent;
 //   - edge weights are positive and never exceed the producer width;
 //   - loops belong to the function that lists them;
-//   - the top function exists and is not inlined;
-//   - no live function reaches itself through its callees (HLS has no
+//   - the top function exists;
+//   - no function reaches itself through its callees (HLS has no
 //     recursion, and the scheduler's latency roll-up would not end).
 //
 // It returns the first violation found, or nil.
@@ -18,16 +18,10 @@ func Validate(m *Module) error {
 	if m.Top == nil {
 		return fmt.Errorf("ir: module %q has no top function", m.Name)
 	}
-	if m.Top.Inlined {
-		return fmt.Errorf("ir: top function %q is inlined", m.Top.Name)
-	}
 	// seen[id] is the op already holding id; IDs are dense in practice,
 	// so one slice sized from the ID counter holds them.
 	seen := make([]*Op, m.nextOpID)
 	for _, f := range m.Funcs {
-		if f.Inlined {
-			continue
-		}
 		for _, l := range f.Loops {
 			if l.Func != f {
 				return fmt.Errorf("ir: loop %q listed by %q but owned by %q", l.Name, f.Name, l.Func.Name)
@@ -82,7 +76,7 @@ func Validate(m *Module) error {
 	return validateCalls(m)
 }
 
-// validateCalls walks the call graph of the live functions depth-first:
+// validateCalls walks the call graph depth-first:
 // state 1 marks the functions on the current path, 2 those done.
 func validateCalls(m *Module) error {
 	state := make(map[*Function]uint8, len(m.Funcs))
@@ -96,9 +90,6 @@ func validateCalls(m *Module) error {
 		}
 		state[f] = 1
 		for _, c := range f.Callees {
-			if c.Inlined {
-				continue
-			}
 			if err := visit(c); err != nil {
 				return err
 			}
@@ -107,10 +98,8 @@ func validateCalls(m *Module) error {
 		return nil
 	}
 	for _, f := range m.Funcs {
-		if !f.Inlined {
-			if err := visit(f); err != nil {
-				return err
-			}
+		if err := visit(f); err != nil {
+			return err
 		}
 	}
 	return nil

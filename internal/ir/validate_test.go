@@ -25,14 +25,6 @@ func TestValidateDetectsNoTop(t *testing.T) {
 	}
 }
 
-func TestValidateDetectsInlinedTop(t *testing.T) {
-	m, f, _ := validModule(t)
-	f.Inlined = true
-	if err := Validate(m); err == nil || !strings.Contains(err.Error(), "inlined") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestValidateDetectsDuplicateIDs(t *testing.T) {
 	m, f, _ := validModule(t)
 	f.Ops[1].ID = f.Ops[0].ID
@@ -57,11 +49,6 @@ func TestValidateDetectsRecursiveCalls(t *testing.T) {
 	g.Callees = append(g.Callees, f)
 	if err := Validate(m); err == nil || !strings.Contains(err.Error(), "reaches itself") {
 		t.Fatalf("err = %v", err)
-	}
-	// An inlined function is no longer called, so it closes no cycle.
-	g.Inlined = true
-	if err := Validate(m); err != nil {
-		t.Fatalf("cycle through an inlined function: %v", err)
 	}
 }
 

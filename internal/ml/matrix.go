@@ -72,19 +72,8 @@ func (m Matrix) RowViews(dst [][]float64) [][]float64 {
 	return dst
 }
 
-// Gather copies the selected rows of src into m (resized to len(idx) rows),
-// the flat-layout replacement for Take on the training side: per-fold and
-// per-grid-point work reuses m's backing array instead of allocating a new
-// row-pointer slice per cell.
-func (m *Matrix) Gather(src Matrix, idx []int) {
-	m.Reset(len(idx), src.Cols)
-	for i, j := range idx {
-		copy(m.Row(i), src.Row(j))
-	}
-}
-
 // GatherVec copies the selected entries of src into dst, growing it as
-// needed — the target-vector counterpart of Gather.
+// needed, and returns the filled slice.
 func GatherVec(dst []float64, src []float64, idx []int) []float64 {
 	if cap(dst) < len(idx) {
 		dst = make([]float64, len(idx))

@@ -410,7 +410,7 @@ func (nl *Netlist) bankCellFor(o *ir.Op) *Cell {
 
 func (nl *Netlist) calleeOf(f *ir.Function, call *ir.Op) *ir.Function {
 	for _, cf := range f.Callees {
-		if call.Name == "call_"+cf.Name && !cf.Inlined {
+		if call.Name == "call_"+cf.Name {
 			return cf
 		}
 	}

@@ -55,13 +55,6 @@ type Options struct {
 	// unbounded. Eviction is mtime-LRU: least recently touched entries go
 	// first.
 	MaxBytes int64
-	// EvictGrace exempts entries touched within this window from
-	// eviction, so a concurrent reader in another process (a second
-	// hlscong run on the same -store-dir) never has a just-written or
-	// just-touched entry yanked out from under it. The budget may
-	// overshoot while every entry is inside the grace window; it is
-	// re-enforced as entries age. 0 disables the exemption.
-	EvictGrace time.Duration
 	// Faults optionally injects deterministic disk faults into the write
 	// path (tests, chaos runs). Nil disables injection.
 	Faults *faults.DiskScript
@@ -347,24 +340,16 @@ func (s *Store) faultedWrite(w io.Writer, data []byte) error {
 // enforceBudget evicts oldest-mtime entries until incoming more bytes fit
 // under MaxBytes. Called with mu held.
 //
-// Two guards protect concurrent readers in other processes sharing the
-// directory (two runs pointed at one -store-dir):
-//
-//   - Entries touched within Options.EvictGrace are exempt, so an entry a
-//     sibling just Got (its Get touches the mtime) or just Put cannot
-//     disappear between the sibling's index lookup and its read.
-//   - Eviction is rename-aside, not unlink-in-place: the entry first moves
-//     to a temp-prefixed name (atomic, same directory), then the temp file
-//     is removed. A reader that raced the eviction sees either the complete
-//     entry or a clean ENOENT miss — never a partially removed one — and
-//     any crash mid-eviction leaves only a temp file the next Open sweeps.
+// Eviction is rename-aside, not unlink-in-place, which protects concurrent
+// readers in other processes sharing the directory (two runs pointed at
+// one -store-dir): the entry first moves to a temp-prefixed name (atomic,
+// same directory), then the temp file is removed. A reader that raced the
+// eviction sees either the complete entry or a clean ENOENT miss — never a
+// partially removed one — and any crash mid-eviction leaves only a temp
+// file the next Open sweeps.
 func (s *Store) enforceBudget(incoming int64) {
 	if s.opts.MaxBytes <= 0 || s.bytes+incoming <= s.opts.MaxBytes {
 		return
-	}
-	graceFloor := int64(0)
-	if s.opts.EvictGrace > 0 {
-		graceFloor = time.Now().Add(-s.opts.EvictGrace).UnixNano()
 	}
 	type aged struct {
 		key   string
@@ -376,9 +361,6 @@ func (s *Store) enforceBudget(incoming int64) {
 		var mt int64
 		if fi, err := os.Stat(s.keyPath(key)); err == nil {
 			mt = fi.ModTime().UnixNano()
-		}
-		if mt >= graceFloor && graceFloor > 0 {
-			continue // recently touched: a sibling process may be mid-read
 		}
 		entries = append(entries, aged{key, size, mt})
 	}

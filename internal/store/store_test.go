@@ -474,9 +474,9 @@ func TestConcurrentOpensEvictionRace(t *testing.T) {
 	payload := []byte(strings.Repeat("z", 100))
 	one := int64(entrySize(testKey(0), len(payload)))
 
-	// A enforces a 2-entry budget with a grace window; B is an unbounded
-	// reader of the same directory.
-	a := openStore(t, dir, Options{MaxBytes: 2 * one, EvictGrace: 30 * time.Second})
+	// A enforces a 2-entry budget; B is an unbounded reader of the same
+	// directory.
+	a := openStore(t, dir, Options{MaxBytes: 2 * one})
 	for i := 0; i < 2; i++ {
 		if err := a.Put(testKey(i), payload); err != nil {
 			t.Fatal(err)
@@ -487,31 +487,19 @@ func TestConcurrentOpensEvictionRace(t *testing.T) {
 		t.Fatalf("reader indexed %d entries, want 2", b.Len())
 	}
 
-	// Inside the grace window nothing is evictable: A's next Put may
-	// overshoot the budget but B's entries stay readable.
-	if err := a.Put(testKey(2), payload); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := b.Get(testKey(i)); err != nil {
-			t.Fatalf("entry %d evicted inside the grace window: %v", i, err)
-		}
-	}
-	if st := a.Stats(); st.Evictions != 0 {
-		t.Fatalf("evictions inside grace window: %+v", st)
-	}
-
-	// Age every entry past the grace window; A's next Put now evicts the
-	// two oldest. B still has them indexed.
+	// Age both entries, 0 the older; A's next two Puts evict them in that
+	// order. B still has them indexed.
 	old := time.Now().Add(-time.Hour)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2; i++ {
 		mt := old.Add(time.Duration(i) * time.Minute)
 		if err := os.Chtimes(a.keyPath(testKey(i)), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := a.Put(testKey(3), payload); err != nil {
-		t.Fatal(err)
+	for i := 2; i < 4; i++ {
+		if err := a.Put(testKey(i), payload); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if st := a.Stats(); st.Evictions != 2 {
 		t.Fatalf("aged entries not evicted: %+v", st)
