@@ -490,8 +490,9 @@ type TrainOptions struct {
 }
 
 // Train fits one regressor per congestion target on the dataset. The three
-// targets share one feature matrix, so a model that can digest its rows
-// (ml.SharedTrainer, e.g. GBRT's binning) prepares them once for all three.
+// fits run at the same time, one goroutine per target, and each model is
+// bit-identical to one fitted alone. A panic inside a fit reaches the
+// caller as a *parallel.PanicError.
 func Train(ds *dataset.Dataset, opts TrainOptions) (*Predictor, error) {
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("core: train on empty dataset")
@@ -503,30 +504,61 @@ func Train(ds *dataset.Dataset, opts TrainOptions) (*Predictor, error) {
 	scaler := ml.FitScaler(X)
 	var xm ml.Matrix
 	scaler.TransformRowsInto(&xm, X)
-	Xs := xm.RowViews(nil)
+	models, errs := fitTargets(xm.RowViews(nil), targetVectors(ds), opts.Kind, opts.Seed, opts.Size)
 	p := &Predictor{Kind: opts.Kind, scaler: scaler, models: make(map[dataset.Target]ml.Regressor)}
-	var prep any
-	for _, t := range dataset.Targets {
-		_, y := ds.Matrix(t)
-		m := NewModelSized(opts.Kind, opts.Seed, opts.Size)
-		var err error
-		if st, ok := m.(ml.SharedTrainer); ok {
-			if prep == nil {
-				prep = st.PrepareShared(Xs)
-			}
-			err = st.FitShared(prep, Xs, y)
-		} else {
-			err = m.Fit(Xs, y)
+	for i, t := range dataset.Targets {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("core: train %s/%s: %w", opts.Kind, t, errs[i])
 		}
-		if err != nil {
-			return nil, fmt.Errorf("core: train %s/%s: %w", opts.Kind, t, err)
-		}
-		p.models[t] = m
+		p.models[t] = models[i]
 	}
 	if err := p.compile(); err != nil {
 		return nil, fmt.Errorf("core: train: %w", err)
 	}
 	return p, nil
+}
+
+// targetVectors returns the dataset's labels, one vector per target in
+// dataset.Targets order.
+func targetVectors(ds *dataset.Dataset) [][]float64 {
+	ys := make([][]float64, len(dataset.Targets))
+	for i, t := range dataset.Targets {
+		_, ys[i] = ds.Matrix(t)
+	}
+	return ys
+}
+
+// fitTargets fits one fresh model of the kind per target vector on the
+// scaled rows Xs and returns the models and fit errors in ys's order. The
+// targets share one feature matrix, so a model that can digest its rows
+// (ml.SharedTrainer, e.g. GBRT's binning) prepares them once for all, and
+// FitShared keeps every model bit-identical to a plain Fit.
+//
+// The fits share only read-only inputs (Xs and the immutable digest), and
+// each model seeds its own random source, so they run at the same time,
+// one goroutine per target: with three targets on two cores, a pool of two
+// would leave the third fit running alone at the end. A panic in a fit is
+// re-raised here as a *parallel.PanicError.
+func fitTargets(Xs, ys [][]float64, kind ModelKind, seed int64, size ModelSize) ([]ml.Regressor, []error) {
+	models := make([]ml.Regressor, len(ys))
+	for i := range models {
+		models[i] = NewModelSized(kind, seed, size)
+	}
+	var prep any
+	if st, ok := models[0].(ml.SharedTrainer); ok {
+		prep = st.PrepareShared(Xs)
+	}
+	errs := make([]error, len(ys))
+	// A fit observes no cancellation, so the context is never cancelled and
+	// ForEach's error, the context's, is always nil.
+	_ = parallel.ForEach(context.Background(), len(ys), len(ys), func(_ context.Context, i int) {
+		if st, ok := models[i].(ml.SharedTrainer); ok {
+			errs[i] = st.FitShared(prep, Xs, ys[i])
+		} else {
+			errs[i] = models[i].Fit(Xs, ys[i])
+		}
+	})
+	return models, errs
 }
 
 // compile builds a GBRT predictor's joint evaluator; other kinds have none.
@@ -879,8 +911,9 @@ type EvalRow struct {
 // (the split depends only on the seed, so every model and filtering choice
 // is compared on the same partition), optionally drop the marginal
 // operations from both sides (Sec. III-C1 filters during dataset
-// construction, before any split), train on the training portion and score
-// MAE/MedAE on the unseen test split.
+// construction, before any split), train on the training portion (the
+// three targets at the same time, as Train does) and score MAE/MedAE on the
+// unseen test split.
 func Evaluate(ds *dataset.Dataset, kind ModelKind, filter bool, seed int64) (EvalRow, error) {
 	return EvaluateSized(ds, kind, filter, seed, SizeFull)
 }
@@ -888,25 +921,7 @@ func Evaluate(ds *dataset.Dataset, kind ModelKind, filter bool, seed int64) (Eva
 // EvaluateSized is Evaluate with an explicit model effort level.
 func EvaluateSized(ds *dataset.Dataset, kind ModelKind, filter bool, seed int64, size ModelSize) (EvalRow, error) {
 	row := EvalRow{Kind: kind, Filtered: filter, Acc: make(map[dataset.Target]Accuracy)}
-	rng := rand.New(rand.NewSource(seed))
-	split := ml.TrainTestSplit(ds.Len(), 0.2, rng)
-	marginal := ds.Marginal()
-
-	train := &dataset.Dataset{FeatureNames: ds.FeatureNames}
-	for _, i := range split.Train {
-		if filter && marginal[i] {
-			continue
-		}
-		train.Samples = append(train.Samples, ds.Samples[i])
-	}
-	test := &dataset.Dataset{FeatureNames: ds.FeatureNames}
-	for _, i := range split.Test {
-		if filter && marginal[i] {
-			continue
-		}
-		test.Samples = append(test.Samples, ds.Samples[i])
-	}
-
+	train, test := evalSplit(ds, filter, seed)
 	Xtr, _ := train.Matrix(dataset.Vertical)
 	scaler := ml.FitScaler(Xtr)
 	var xtrM, xteM ml.Matrix
@@ -916,16 +931,33 @@ func EvaluateSized(ds *dataset.Dataset, kind ModelKind, filter bool, seed int64,
 	scaler.TransformRowsInto(&xteM, Xte)
 	XteS := xteM.RowViews(nil)
 
+	models, errs := fitTargets(XtrS, targetVectors(train), kind, seed, size)
 	pred := make([]float64, len(XteS))
-	for _, t := range dataset.Targets {
-		_, ytr := train.Matrix(t)
-		_, yte := test.Matrix(t)
-		m := NewModelSized(kind, seed, size)
-		if err := m.Fit(XtrS, ytr); err != nil {
-			return row, fmt.Errorf("core: evaluate %s/%s: %w", kind, t, err)
+	for i, t := range dataset.Targets {
+		if errs[i] != nil {
+			return row, fmt.Errorf("core: evaluate %s/%s: %w", kind, t, errs[i])
 		}
-		ml.PredictBatchInto(m, XteS, pred)
+		_, yte := test.Matrix(t)
+		ml.PredictBatchInto(models[i], XteS, pred)
 		row.Acc[t] = Accuracy{MAE: ml.MAE(yte, pred), MedAE: ml.MedAE(yte, pred)}
 	}
 	return row, nil
+}
+
+// evalSplit is Evaluate's seeded 80/20 split, the marginal operations
+// dropped from both sides when filter is set.
+func evalSplit(ds *dataset.Dataset, filter bool, seed int64) (train, test *dataset.Dataset) {
+	split := ml.TrainTestSplit(ds.Len(), 0.2, rand.New(rand.NewSource(seed)))
+	marginal := ds.Marginal()
+	pick := func(idx []int) *dataset.Dataset {
+		out := &dataset.Dataset{FeatureNames: ds.FeatureNames}
+		for _, i := range idx {
+			if filter && marginal[i] {
+				continue
+			}
+			out.Samples = append(out.Samples, ds.Samples[i])
+		}
+		return out
+	}
+	return pick(split.Train), pick(split.Test)
 }

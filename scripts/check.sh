@@ -3,7 +3,7 @@
 # whole module (vet and gofmt reach perfbench/ too), then the steps go
 # test cannot take: benchmark and fuzz smokes, repeated race runs, and the
 # contracts that need real processes (a live congserve, the hlscong
-# dataset build at two worker counts and cut short). These 20 steps are
+# dataset build at two worker counts and cut short). These 21 steps are
 # the gate every PR must keep green (see ROADMAP.md).
 set -eu
 cd "$(dirname "$0")/.."
@@ -52,6 +52,11 @@ unformatted="$(find . -path ./.bench_build -prune -o -name '*.go' -exec gofmt -l
 	echo "$unformatted"
 	exit 1
 }
+
+# The paired A/B runner is not run here (a pair takes a minute), but it
+# must stay parseable.
+echo "== ab.sh syntax (bash -n) =="
+bash -n scripts/ab.sh
 
 echo "== go test =="
 go test ./...
