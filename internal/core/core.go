@@ -540,23 +540,18 @@ func targetVectors(ds *dataset.Dataset) [][]float64 {
 // would leave the third fit running alone at the end. A panic in a fit is
 // re-raised here as a *parallel.PanicError.
 func fitTargets(Xs, ys [][]float64, kind ModelKind, seed int64, size ModelSize) ([]ml.Regressor, []error) {
-	models := make([]ml.Regressor, len(ys))
-	for i := range models {
-		models[i] = NewModelSized(kind, seed, size)
-	}
 	var prep any
-	if st, ok := models[0].(ml.SharedTrainer); ok {
+	if st, ok := NewModelSized(kind, seed, size).(ml.SharedTrainer); ok {
 		prep = st.PrepareShared(Xs)
 	}
-	errs := make([]error, len(ys))
 	// A fit observes no cancellation, so the context is never cancelled and
-	// ForEach's error, the context's, is always nil.
-	_ = parallel.ForEach(context.Background(), len(ys), len(ys), func(_ context.Context, i int) {
-		if st, ok := models[i].(ml.SharedTrainer); ok {
-			errs[i] = st.FitShared(prep, Xs, ys[i])
-		} else {
-			errs[i] = models[i].Fit(Xs, ys[i])
+	// Map's error, the context's, is always nil.
+	models, errs, _ := parallel.Map(context.Background(), len(ys), len(ys), func(_ context.Context, i int) (ml.Regressor, error) {
+		m := NewModelSized(kind, seed, size)
+		if st, ok := m.(ml.SharedTrainer); ok {
+			return m, st.FitShared(prep, Xs, ys[i])
 		}
+		return m, m.Fit(Xs, ys[i])
 	})
 	return models, errs
 }

@@ -12,27 +12,29 @@
 # GOPROXY=off.
 # Pair i runs both binaries with seed --seed+i, each from its own tree; the
 # side that runs first alternates from pair to pair. The last stdout line
-# of every run is kept under runs/ (and in --out FILE as one JSON object).
+# of every run is kept as runs/SIDE.SEED.json.
 #
 # For every end-to-end metric of BENCHMARK.json (read, never written) the
 # report gives both medians, head/base, each side's IQR (absolute and
 # relative to its median) and how many pairs head won, with a verdict:
 #   worse    head's median is worse than base's by more than the bound
-#   spread   a side's IQR exceeds the bound times base's median
-#   better   head won at least 9 of 10 pairs and the medians differ by more
-#            than base's IQR
+#   better   every head run beat every base run, or head won at least 9 of
+#            10 pairs, the medians differ by more than base's IQR and
+#            neither IQR exceeds the bound times base's median
+#   spread   a side's IQR exceeds the bound times base's median, so the
+#            runs cannot tell the sides apart
 #   same     none of these
-# Any run whose "correct" is false, or a larger failed share of operations
-# on the head side, ends the script with status 1.
+# A worse or spread verdict, any run whose "correct" is false, or a larger
+# failed share of operations on the head side ends the script with status 1.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$root"
 
 usage() {
-	echo "usage: $0 --base REV --workload W [--pairs N] [--seconds S] [--seed N] [--out FILE]" >&2
+	echo "usage: $0 --base REV --workload W [--pairs N] [--seconds S] [--seed N]" >&2
 	exit 2
 }
-base="" workload="" pairs=4 seconds=20 seed=701 out=""
+base="" workload="" pairs=4 seconds=20 seed=701
 while [ $# -gt 0 ]; do
 	[ $# -ge 2 ] || usage
 	case "$1" in
@@ -41,7 +43,6 @@ while [ $# -gt 0 ]; do
 	--pairs) pairs="$2" ;;
 	--seconds) seconds="$2" ;;
 	--seed) seed="$2" ;;
-	--out) out="$2" ;;
 	*) usage ;;
 	esac
 	shift 2
@@ -95,18 +96,6 @@ for ((i = 0; i < pairs; i++)); do
 		runone base "$dir/base" "$s"
 	fi
 done
-
-if [ -n "$out" ]; then
-	{
-		printf '{"base": "%s", "workload": "%s", "seconds": %s, "pairs": [' "$rev" "$workload" "$seconds"
-		for ((i = 0; i < pairs; i++)); do
-			s=$((seed + i))
-			((i == 0)) || printf ', '
-			printf '{"seed": %d, "base": %s, "head": %s}' "$s" "$(cat "$dir/runs/base.$s.json")" "$(cat "$dir/runs/head.$s.json")"
-		done
-		printf ']}\n'
-	} > "$out"
-fi
 
 # The report: one line per run ("side seed metric value" plus the failed
 # share as the pseudo-metric "failed_share") after the bounds.
@@ -165,7 +154,10 @@ END {
 		bm = q(b, ns, 0.5); hm = q(h, ns, 0.5)
 		biqr = q(b, ns, 0.75) - q(b, ns, 0.25); hiqr = q(h, ns, 0.75) - q(h, ns, 0.25)
 		worse = (better[m] == "lower") ? hm - bm : bm - hm
+		# apart: every head run beat every base run.
+		apart = (better[m] == "lower") ? h[ns] < b[1] : h[1] > b[ns]
 		if (bm != 0 && worse > bound[m] * (bm < 0 ? -bm : bm)) verdict = "worse"
+		else if (apart) verdict = "better"
 		else if (bm != 0 && (biqr > bound[m] * bm || hiqr > bound[m] * bm)) verdict = "spread"
 		else if (wins >= 0.9 * ns && -worse > biqr) verdict = "better"
 		else verdict = "same"
