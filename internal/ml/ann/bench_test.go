@@ -2,7 +2,7 @@ package ann
 
 // Old-vs-new benchmarks for the ANN fast path: the *Ref benchmarks drive
 // the frozen per-sample reference from equiv_test.go, the others the
-// batched loop-interchanged kernels; BENCH_PR4.json records the pairs.
+// batched loop-interchanged kernels.
 
 import (
 	"testing"

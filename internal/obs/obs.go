@@ -8,8 +8,7 @@
 // *Observer, *Tracer, *Registry or *Span accepts every call as a no-op —
 // so instrumented code threads a possibly-nil Observer without guards and
 // the disabled fast path is a pointer test (see TestDisabledSpanZeroAlloc
-// for the allocation guarantee, and the no-op overhead numbers in
-// BENCH_PR5.json). The second invariant is that observation never changes
+// for the allocation guarantee). The second invariant is that observation never changes
 // what it observes: spans and metrics are written on stage boundaries, not
 // inside kernels, and nothing in this package feeds back into flow
 // decisions, so instrumented runs stay byte-identical to bare ones.

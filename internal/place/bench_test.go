@@ -4,15 +4,19 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/fpga"
+	"repro/internal/hls"
+	"repro/internal/rtl"
 )
 
-// BenchmarkPlace times one full annealing run of the test design with the
-// incremental bounding-box kernel ("incremental") against the frozen
-// pre-optimization kernel kept in equiv_test.go ("reference"). The
-// equivalence tests prove the two produce byte-identical placements, so the
-// ns/op ratio is the speedup of the placer tentpole. Run with -benchmem:
-// the incremental kernel's inner loop allocates nothing.
+// BenchmarkPlace times full annealing runs. "incremental" and "reference"
+// place the test design with the production kernel and with the frozen
+// original kept in equiv_test.go; the equivalence tests prove the two
+// produce byte-identical placements, so their ns/op ratio is the kernel's
+// speedup. "training" places the three training designs at the default
+// move budget, seed 1 — the placement traffic of a dataset build. Run with
+// -benchmem: the production inner loop allocates nothing.
 func BenchmarkPlace(b *testing.B) {
 	nl := testNetlist(b)
 	dev := fpga.XC7Z020()
@@ -30,14 +34,32 @@ func BenchmarkPlace(b *testing.B) {
 	b.Run("reference", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			referencePlace(b, nl, dev, 1, opts)
+			referencePlace(nl, dev, 1, opts)
+		}
+	})
+	b.Run("training", func(b *testing.B) {
+		var nls []*rtl.Netlist
+		for _, m := range bench.TrainingModules() {
+			s, err := hls.ScheduleModule(m, hls.DefaultClock())
+			if err != nil {
+				b.Fatal(err)
+			}
+			nls = append(nls, rtl.Elaborate(hls.BindModule(s)))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, nl := range nls {
+				if _, err := Place(nl, dev, rand.New(rand.NewSource(1)), DefaultOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	})
 }
 
-// BenchmarkMoveDelta isolates the per-move cost evaluation — the single
-// hottest call of the flow (placer profiles put it above 40 % before the
-// rewrite). Steady state it must not allocate.
+// BenchmarkMoveDelta isolates the per-move cost evaluation, the hottest
+// call of the flow. Steady state it must not allocate.
 func BenchmarkMoveDelta(b *testing.B) {
 	nl := testNetlist(b)
 	dev := fpga.XC7Z020()

@@ -30,7 +30,7 @@ var ErrCapacity = errors.New("place: design exceeds device capacity")
 
 // Options tunes the annealer.
 type Options struct {
-	// Moves is the total number of SA moves; 0 selects 60 moves per cell
+	// Moves is the total number of SA moves; 0 selects 200 moves per cell
 	// with a floor of 20,000.
 	Moves int
 	// DensityWeight scales the bin-overflow penalty (logic-unit^2 terms).
@@ -182,7 +182,7 @@ func PlaceContext(ctx context.Context, nl *rtl.Netlist, dev *fpga.Device, rng *r
 	if err := st.anneal(ctx, rng); err != nil {
 		return nil, err
 	}
-	return &Placement{Dev: dev, NL: nl, Pos: st.pos, RegionCenter: st.regionCenter,
+	return &Placement{Dev: dev, NL: nl, Pos: st.positions(), RegionCenter: st.regionCenter,
 		Stats: PlaceStats{Moves: opts.Moves, Accepted: st.accepted}}, nil
 }
 
@@ -218,39 +218,93 @@ func checkCapacity(nl *rtl.Netlist, dev *fpga.Device) error {
 	return nil
 }
 
-// state carries the annealer's incremental bookkeeping.
+// state carries the annealer's incremental bookkeeping in compact flat
+// arrays, so a move touches a few cache lines: the moved cell's record and
+// incidence row, each partner's position, at most two density bins and,
+// for nets of three or more pins, one box.
 type state struct {
 	nl   *rtl.Netlist
 	dev  *fpga.Device
 	opts Options
 
-	pos     []fpga.XY
-	class   []cellClass
-	area    []float64
-	attract []rect // module region per cell; attraction is zero inside
+	xy    []pt      // cell positions, indexed by cell ID
+	cells []cellRec // per-cell region, class, area and cluster weight
 
-	// Per-net state in flat parallel arrays (index = net): pin lists,
-	// HPWL weights, committed boxes and the boxes pending from the last
-	// moveDelta. Contiguous values keep the annealer's inner loop on a
-	// few cache lines instead of chasing per-net heap objects.
-	netCells  [][]int
-	weights   []float64
-	boxes     []bbox
-	pends     []bbox
-	cellNets  [][]int // net indices per cell
-	binsX     int
-	binsY     int
-	binOcc    []float64
-	binCap    []float64
-	wirelen   float64
-	density   float64
-	cluster   float64
-	clusterWt []float64
+	// Cell→net incidence in CSR form: the nets of cell c are
+	// inc[incOff[c]:incOff[c+1]], in net order.
+	incOff []int32
+	inc    []incidence
 
+	// Per-net state, indexed by incidence.net: distinct pins in CSR form
+	// (pins[pinOff[n]:pinOff[n+1]]), committed boxes and the boxes pending
+	// from the last moveDelta. Boxes are kept for nets of three or more
+	// pins only; a two-pin net is priced from its partner's position.
+	pinOff []int32
+	pins   []int32
+	boxes  []bbox
+	pends  []bbox
+
+	// legal[cls*cols+x] is the legal column for a cell of class cls
+	// proposed at column x.
+	legal []int16
+	// Density bins: binIdx(p) = binCol[p.x] + binRow[p.y].
+	binCol []int32
+	binRow []int32
+	bins   []bin
+
+	// funcArea is each module instance's cell area plus pin-wiring demand,
+	// the weight partitionRegions sizes its region by.
+	funcArea     map[*ir.Function]float64
 	regionCenter map[*ir.Function]fpga.XY
 
 	// accepted counts committed annealing moves (see PlaceStats).
 	accepted int
+}
+
+// pt is a tile coordinate in the annealer's compact form (the die is 60x110
+// tiles; int16 bounds it at 32,767 per axis).
+type pt struct {
+	x, y int16
+}
+
+// cellRec packs what moveDelta and randomTarget read of one cell: its
+// module region (x0..x1, y0..y1 inclusive; attraction is zero inside), its
+// legal-location class, its density area and its cluster weight.
+type cellRec struct {
+	x0, y0, x1, y1 int16
+	cls            cellClass
+	area           float64
+	clusterWt      float64
+}
+
+// dist returns the Manhattan distance from p to the cell's region, zero
+// when p lies inside it.
+func (r *cellRec) dist(p pt) int {
+	d := 0
+	if p.x < r.x0 {
+		d += int(r.x0 - p.x)
+	} else if p.x > r.x1 {
+		d += int(p.x - r.x1)
+	}
+	if p.y < r.y0 {
+		d += int(r.y0 - p.y)
+	} else if p.y > r.y1 {
+		d += int(p.y - r.y1)
+	}
+	return d
+}
+
+// incidence is one net of a cell: net indexes the per-net arrays, other is
+// the partner cell of a two-pin net and -1 otherwise, and weight is the
+// net's HPWL weight (its wire count).
+type incidence struct {
+	net, other int32
+	weight     float64
+}
+
+// bin is one density bin: occupied and available logic area.
+type bin struct {
+	occ, cap float64
 }
 
 // bbox is a net bounding box annotated with the number of pins sitting on
@@ -258,9 +312,7 @@ type state struct {
 // incremental placer update O(1): a move only forces a rescan when it takes
 // a boundary's sole supporting pin strictly inward. All arithmetic is on
 // tile integers, so an incrementally maintained box is bit-identical to a
-// from-scratch recompute and annealing trajectories are unchanged. int16
-// coordinates (the die is 60x110 tiles) keep the whole box in 16 bytes so
-// the pending-box writes on the hot path stay cheap.
+// from-scratch recompute and annealing trajectories are unchanged.
 type bbox struct {
 	xmin, xmax, ymin, ymax int16
 	// Pins currently sitting on each boundary (support counts).
@@ -274,41 +326,39 @@ func (b *bbox) hpwl() float64 {
 // computeBox scans the net's pins — with cell `moved` (when >= 0) taken at
 // `np` instead of its committed location — producing the bounding box and
 // its boundary support counts.
-func computeBox(cells []int, pos []fpga.XY, moved int, np fpga.XY) bbox {
-	p := pos[cells[0]]
-	if cells[0] == moved {
+func computeBox(pins []int32, xy []pt, moved int32, np pt) bbox {
+	p := xy[pins[0]]
+	if pins[0] == moved {
 		p = np
 	}
-	b := bbox{xmin: int16(p.X), xmax: int16(p.X), ymin: int16(p.Y), ymax: int16(p.Y),
-		nxmin: 1, nxmax: 1, nymin: 1, nymax: 1}
-	for _, ci := range cells[1:] {
-		p := pos[ci]
+	b := bbox{xmin: p.x, xmax: p.x, ymin: p.y, ymax: p.y, nxmin: 1, nxmax: 1, nymin: 1, nymax: 1}
+	for _, ci := range pins[1:] {
+		p := xy[ci]
 		if ci == moved {
 			p = np
 		}
-		x, y := int16(p.X), int16(p.Y)
-		if x < b.xmin {
-			b.xmin = x
+		if p.x < b.xmin {
+			b.xmin = p.x
 			b.nxmin = 1
-		} else if x == b.xmin {
+		} else if p.x == b.xmin {
 			b.nxmin++
 		}
-		if x > b.xmax {
-			b.xmax = x
+		if p.x > b.xmax {
+			b.xmax = p.x
 			b.nxmax = 1
-		} else if x == b.xmax {
+		} else if p.x == b.xmax {
 			b.nxmax++
 		}
-		if y < b.ymin {
-			b.ymin = y
+		if p.y < b.ymin {
+			b.ymin = p.y
 			b.nymin = 1
-		} else if y == b.ymin {
+		} else if p.y == b.ymin {
 			b.nymin++
 		}
-		if y > b.ymax {
-			b.ymax = y
+		if p.y > b.ymax {
+			b.ymax = p.y
 			b.nymax = 1
-		} else if y == b.ymax {
+		} else if p.y == b.ymax {
 			b.nymax++
 		}
 	}
@@ -364,96 +414,150 @@ func axisMove(min, max *int16, nmin, nmax *int16, o, n int16) bool {
 	return true
 }
 
-// twoPinBox builds the box of a two-pin net from its pin coordinates,
-// matching computeBox's output (boundary counts included) exactly.
-func twoPinBox(ax, ay, bx, by int16) bbox {
-	b := bbox{xmin: ax, xmax: ax, ymin: ay, ymax: ay, nxmin: 1, nxmax: 1, nymin: 1, nymax: 1}
-	if bx < b.xmin {
-		b.xmin = bx
-	} else if bx > b.xmax {
-		b.xmax = bx
-	} else {
-		b.nxmin = 2
-		b.nxmax = 2
-	}
-	if by < b.ymin {
-		b.ymin = by
-	} else if by > b.ymax {
-		b.ymax = by
-	} else {
-		b.nymin = 2
-		b.nymax = 2
-	}
-	return b
+// move updates the box in place for one pin moving op -> np. It reports
+// false when the box needs an O(pins) rescan instead: a sole boundary pin
+// moved inward.
+func (b *bbox) move(op, np pt) bool {
+	return axisMove(&b.xmin, &b.xmax, &b.nxmin, &b.nxmax, op.x, np.x) &&
+		axisMove(&b.ymin, &b.ymax, &b.nymin, &b.nymax, op.y, np.y)
 }
 
-// evalBox returns the net's box after moving cell ci from op to np: O(1)
-// via the incremental boundary update in the common case, an O(pins) rescan
-// only when a sole boundary pin moves inward.
-func evalBox(box bbox, cells []int, pos []fpga.XY, ci int, op, np fpga.XY) bbox {
-	if axisMove(&box.xmin, &box.xmax, &box.nxmin, &box.nxmax, int16(op.X), int16(np.X)) &&
-		axisMove(&box.ymin, &box.ymax, &box.nymin, &box.nymax, int16(op.Y), int16(np.Y)) {
-		return box
+// span is the half-perimeter of the two-pin net between a and b.
+func span(a, b pt) int {
+	dx, dy := int(a.x)-int(b.x), int(a.y)-int(b.y)
+	if dx < 0 {
+		dx = -dx
 	}
-	return computeBox(cells, pos, ci, np)
+	if dy < 0 {
+		dy = -dy
+	}
+	return dx + dy
 }
 
 func newState(nl *rtl.Netlist, dev *fpga.Device, opts Options) *state {
+	n := len(nl.Cells)
 	st := &state{
 		nl:           nl,
 		dev:          dev,
 		opts:         opts,
-		pos:          make([]fpga.XY, len(nl.Cells)),
-		class:        make([]cellClass, len(nl.Cells)),
-		area:         make([]float64, len(nl.Cells)),
-		attract:      make([]rect, len(nl.Cells)),
-		cellNets:     make([][]int, len(nl.Cells)),
-		clusterWt:    make([]float64, len(nl.Cells)),
+		xy:           make([]pt, n),
+		cells:        make([]cellRec, n),
+		incOff:       make([]int32, n+1),
+		funcArea:     make(map[*ir.Function]float64),
 		regionCenter: make(map[*ir.Function]fpga.XY),
 	}
 	for _, c := range nl.Cells {
-		st.class[c.ID] = classify(c)
-		st.area[c.ID] = cellArea(c)
-		st.clusterWt[c.ID] = math.Sqrt(st.area[c.ID])
+		a := cellArea(c)
+		st.cells[c.ID] = cellRec{cls: classify(c), area: a, clusterWt: math.Sqrt(a)}
+		st.funcArea[c.Func] += a
 	}
-	for _, n := range nl.Nets {
-		seen := map[int]bool{n.Driver.ID: true}
-		cells := []int{n.Driver.ID}
-		for _, s := range n.Sinks {
-			if !seen[s.Cell.ID] {
-				seen[s.Cell.ID] = true
-				cells = append(cells, s.Cell.ID)
+	// Distinct pins of every net, in driver-then-sink order; a net of one
+	// distinct cell never changes cost and is dropped. mark[c] == i+1 once
+	// cell c is a pin of nl.Nets[i].
+	mark := make([]int32, n)
+	st.pinOff = []int32{0}
+	var weights []float64
+	for i, net := range nl.Nets {
+		start := len(st.pins)
+		st.pins = append(st.pins, int32(net.Driver.ID))
+		mark[net.Driver.ID] = int32(i + 1)
+		for _, s := range net.Sinks {
+			if mark[s.Cell.ID] != int32(i+1) {
+				mark[s.Cell.ID] = int32(i + 1)
+				st.pins = append(st.pins, int32(s.Cell.ID))
 			}
 		}
-		if len(cells) < 2 {
+		if len(st.pins)-start < 2 {
+			st.pins = st.pins[:start]
 			continue
 		}
-		idx := len(st.netCells)
-		st.netCells = append(st.netCells, cells)
-		st.weights = append(st.weights, float64(n.Wires()))
-		for _, ci := range cells {
-			st.cellNets[ci] = append(st.cellNets[ci], idx)
+		st.pinOff = append(st.pinOff, int32(len(st.pins)))
+		w := float64(net.Wires())
+		weights = append(weights, w)
+		for _, ci := range st.pins[start:] {
+			st.incOff[ci+1]++
+			st.funcArea[nl.Cells[ci].Func] += w
 		}
 	}
-	st.boxes = make([]bbox, len(st.netCells))
-	st.pends = make([]bbox, len(st.netCells))
-	st.binsX = (dev.Cols + opts.BinSize - 1) / opts.BinSize
-	st.binsY = (dev.Rows + opts.BinSize - 1) / opts.BinSize
-	st.binOcc = make([]float64, st.binsX*st.binsY)
-	st.binCap = make([]float64, st.binsX*st.binsY)
+	for c := 0; c < n; c++ {
+		st.incOff[c+1] += st.incOff[c]
+	}
+	st.inc = make([]incidence, st.incOff[n])
+	fill := append([]int32(nil), st.incOff[:n]...)
+	for k, w := range weights {
+		pins := st.pins[st.pinOff[k]:st.pinOff[k+1]]
+		for j, ci := range pins {
+			e := incidence{net: int32(k), other: -1, weight: w}
+			if len(pins) == 2 {
+				e.other = pins[1-j]
+			}
+			st.inc[fill[ci]] = e
+			fill[ci]++
+		}
+	}
+	st.boxes = make([]bbox, len(weights))
+	st.pends = make([]bbox, len(weights))
+
+	// Legal columns per class: DSP and BRAM cells snap to the nearest
+	// column of their kind, CLB cells step right (wrapping) off special
+	// columns. A class whose columns the device lacks keeps x, since
+	// checkCapacity admits no cell of that class.
+	cols := dev.Cols
+	st.legal = make([]int16, 3*cols)
+	for x := 0; x < cols; x++ {
+		clb, dsp, bram := x, x, x
+		for step := 0; step < cols && dev.KindAt(clb, 0) != fpga.TileCLB; step++ {
+			clb = (clb + 1) % cols
+		}
+		if len(dev.DSPCols) > 0 {
+			dsp = dev.DSPColNearest(x)
+		}
+		if len(dev.BRAMCols) > 0 {
+			bram = dev.BRAMColNearest(x)
+		}
+		st.legal[int(classCLB)*cols+x] = int16(clb)
+		st.legal[int(classDSP)*cols+x] = int16(dsp)
+		st.legal[int(classBRAM)*cols+x] = int16(bram)
+	}
+
+	binsX := (dev.Cols + opts.BinSize - 1) / opts.BinSize
+	binsY := (dev.Rows + opts.BinSize - 1) / opts.BinSize
+	st.binCol = make([]int32, dev.Cols)
+	for x := range st.binCol {
+		st.binCol[x] = int32(x / opts.BinSize)
+	}
+	st.binRow = make([]int32, dev.Rows)
+	for y := range st.binRow {
+		st.binRow[y] = int32((y / opts.BinSize) * binsX)
+	}
+	st.bins = make([]bin, binsX*binsY)
 	perCLB := float64(dev.TileLUT) + 0.5*float64(dev.TileFF)
 	for x := 0; x < dev.Cols; x++ {
 		for y := 0; y < dev.Rows; y++ {
 			if dev.KindAt(x, y) == fpga.TileCLB {
-				st.binCap[st.binIdx(x, y)] += perCLB
+				st.bins[st.binIdx(pt{int16(x), int16(y)})].cap += perCLB
 			}
 		}
 	}
 	return st
 }
 
-func (st *state) binIdx(x, y int) int {
-	return (y/st.opts.BinSize)*st.binsX + x/st.opts.BinSize
+func (st *state) binIdx(p pt) int {
+	return int(st.binCol[p.x]) + int(st.binRow[p.y])
+}
+
+// legalX snaps an on-die column to a legal one for the cell's class.
+func (st *state) legalX(ci, x int) int16 {
+	return st.legal[int(st.cells[ci].cls)*st.dev.Cols+x]
+}
+
+// positions returns the placement in fpga.XY form.
+func (st *state) positions() []fpga.XY {
+	pos := make([]fpga.XY, len(st.xy))
+	for i, p := range st.xy {
+		pos[i] = fpga.XY{X: int(p.x), Y: int(p.y)}
+	}
+	return pos
 }
 
 // rect is an inclusive tile rectangle.
@@ -463,23 +567,6 @@ type rect struct {
 
 func (r rect) width() int  { return r.x1 - r.x0 + 1 }
 func (r rect) height() int { return r.y1 - r.y0 + 1 }
-
-// dist returns the Manhattan distance from p to the rectangle, zero when p
-// lies inside it.
-func (r rect) dist(p fpga.XY) int {
-	d := 0
-	if p.X < r.x0 {
-		d += r.x0 - p.X
-	} else if p.X > r.x1 {
-		d += p.X - r.x1
-	}
-	if p.Y < r.y0 {
-		d += r.y0 - p.Y
-	} else if p.Y > r.y1 {
-		d += p.Y - r.y1
-	}
-	return d
-}
 
 func (r rect) center() fpga.XY {
 	return fpga.XY{X: (r.x0 + r.x1) / 2, Y: (r.y0 + r.y1) / 2}
@@ -556,25 +643,16 @@ func partitionRegions(funcs []*ir.Function, areaOf map[*ir.Function]float64, r r
 // room than their logic alone would claim.
 func (st *state) initial(rng *rand.Rand) {
 	funcs := st.nl.Mod.LiveFuncs()
-	areaOf := make(map[*ir.Function]float64)
-	for _, c := range st.nl.Cells {
-		areaOf[c.Func] += st.area[c.ID]
-	}
-	for ni, cells := range st.netCells {
-		for _, ci := range cells {
-			areaOf[st.nl.Cells[ci].Func] += st.weights[ni]
-		}
-	}
 	sorted := append([]*ir.Function(nil), funcs...)
 	sort.Slice(sorted, func(i, j int) bool {
-		if areaOf[sorted[i]] != areaOf[sorted[j]] {
-			return areaOf[sorted[i]] > areaOf[sorted[j]]
+		if st.funcArea[sorted[i]] != st.funcArea[sorted[j]] {
+			return st.funcArea[sorted[i]] > st.funcArea[sorted[j]]
 		}
 		return sorted[i].Name < sorted[j].Name
 	})
 	regions := make(map[*ir.Function]rect, len(sorted))
 	die := rect{0, 0, st.dev.Cols - 1, st.dev.Rows - 1}
-	partitionRegions(sorted, areaOf, die, regions)
+	partitionRegions(sorted, st.funcArea, die, regions)
 
 	for _, f := range funcs {
 		rg, ok := regions[f]
@@ -586,29 +664,20 @@ func (st *state) initial(rng *rand.Rand) {
 			if c.Func != f {
 				continue
 			}
-			st.attract[c.ID] = rg
+			r := &st.cells[c.ID]
+			r.x0, r.y0, r.x1, r.y1 = int16(rg.x0), int16(rg.y0), int16(rg.x1), int16(rg.y1)
 			y := rg.y0 + rng.Intn(rg.height())
 			x := st.legalX(c.ID, rg.x0+rng.Intn(rg.width()))
-			st.pos[c.ID] = fpga.XY{X: x, Y: y}
+			st.xy[c.ID] = pt{x, int16(y)}
 		}
 	}
-	// Full cost from scratch.
-	st.wirelen = 0
-	for ni := range st.boxes {
-		st.boxes[ni] = computeBox(st.netCells[ni], st.pos, -1, fpga.XY{})
-		st.wirelen += st.weights[ni] * st.boxes[ni].hpwl()
+	for n := range st.boxes {
+		if pins := st.pins[st.pinOff[n]:st.pinOff[n+1]]; len(pins) > 2 {
+			st.boxes[n] = computeBox(pins, st.xy, -1, pt{})
+		}
 	}
-	for i := range st.binOcc {
-		st.binOcc[i] = 0
-	}
-	st.cluster = 0
 	for _, c := range st.nl.Cells {
-		st.binOcc[st.binIdx(st.pos[c.ID].X, st.pos[c.ID].Y)] += st.area[c.ID]
-		st.cluster += st.clusterWt[c.ID] * float64(st.attract[c.ID].dist(st.pos[c.ID]))
-	}
-	st.density = 0
-	for i := range st.binOcc {
-		st.density += overflow2(st.binOcc[i], st.binCap[i])
+		st.bins[st.binIdx(st.xy[c.ID])].occ += st.cells[c.ID].area
 	}
 }
 
@@ -620,93 +689,77 @@ func overflow2(occ, cap float64) float64 {
 	return d * d
 }
 
-// legalX snaps a column to a legal one for the cell's class.
-func (st *state) legalX(cell int, x int) int {
-	if x < 0 {
-		x = 0
-	}
-	if x >= st.dev.Cols {
-		x = st.dev.Cols - 1
-	}
-	switch st.class[cell] {
-	case classDSP:
-		return st.dev.DSPColNearest(x)
-	case classBRAM:
-		return st.dev.BRAMColNearest(x)
-	}
-	// CLB cells avoid special columns: step off them.
-	for st.dev.KindAt(x, 0) != fpga.TileCLB {
-		x++
-		if x >= st.dev.Cols {
-			x = 0
-		}
-	}
-	return x
-}
-
 // moveDelta evaluates the cost change of moving cell ci to np, without
-// committing. Each affected net's box is updated incrementally (O(1) unless
-// a sole boundary pin moves inward) and cached in netBox.pend, so a commit
-// of the same move applies the boxes instead of recomputing the nets. The
-// per-net float expression is unchanged and the boxes are exact integers,
-// so deltas — and with them the annealing trajectory — are bit-identical
-// to the recompute-per-move reference.
-func (st *state) moveDelta(ci int, np fpga.XY) float64 {
-	op := st.pos[ci]
-	ox, nx := int16(op.X), int16(np.X)
-	oy, ny := int16(op.Y), int16(np.Y)
+// committing. A two-pin net's half-perimeter is the span to its partner,
+// priced from the partner's position with no box at all. A larger net's
+// box is updated incrementally (O(1) unless a sole boundary pin moves
+// inward) and cached in pends, so a commit of the same move adopts it
+// instead of recomputing the net. Every half-perimeter is an exact
+// integer and the float terms are summed in net order, so deltas — and
+// with them the annealing trajectory — are bit-identical to recomputing
+// every box per move.
+func (st *state) moveDelta(ci int, np pt) float64 {
+	op := st.xy[ci]
 	dWL := 0.0
-	for _, ni := range st.cellNets[ci] {
-		b := st.boxes[ni]
-		old := b.hpwl()
-		if cells := st.netCells[ni]; len(cells) == 2 {
-			// Two-pin net: the box is just the span to the other pin —
-			// identical to computeBox's scan, without the boundary dance.
-			oi := cells[0]
-			if oi == ci {
-				oi = cells[1]
-			}
-			q := st.pos[oi]
-			b = twoPinBox(int16(q.X), int16(q.Y), nx, ny)
-		} else if !(axisMove(&b.xmin, &b.xmax, &b.nxmin, &b.nxmax, ox, nx) &&
-			axisMove(&b.ymin, &b.ymax, &b.nymin, &b.nymax, oy, ny)) {
-			b = computeBox(cells, st.pos, ci, np)
+	for _, e := range st.inc[st.incOff[ci]:st.incOff[ci+1]] {
+		if e.other >= 0 {
+			q := st.xy[e.other]
+			dWL += e.weight * float64(span(q, np)-span(q, op))
+			continue
 		}
-		st.pends[ni] = b
-		dWL += st.weights[ni] * (b.hpwl() - old)
+		b := st.boxes[e.net]
+		old := b.hpwl()
+		if !b.move(op, np) {
+			b = computeBox(st.pins[st.pinOff[e.net]:st.pinOff[e.net+1]], st.xy, int32(ci), np)
+		}
+		st.pends[e.net] = b
+		dWL += e.weight * (b.hpwl() - old)
 	}
-	ob, nbn := st.binIdx(op.X, op.Y), st.binIdx(np.X, np.Y)
+	r := &st.cells[ci]
+	ob, nb := st.binIdx(op), st.binIdx(np)
 	dDen := 0.0
-	if ob != nbn {
-		a := st.area[ci]
-		dDen = overflow2(st.binOcc[ob]-a, st.binCap[ob]) - overflow2(st.binOcc[ob], st.binCap[ob]) +
-			overflow2(st.binOcc[nbn]+a, st.binCap[nbn]) - overflow2(st.binOcc[nbn], st.binCap[nbn])
+	if ob != nb {
+		a := r.area
+		o, n := &st.bins[ob], &st.bins[nb]
+		dDen = overflow2(o.occ-a, o.cap) - overflow2(o.occ, o.cap) +
+			overflow2(n.occ+a, n.cap) - overflow2(n.occ, n.cap)
 	}
-	dClu := st.clusterWt[ci] * float64(st.attract[ci].dist(np)-st.attract[ci].dist(op))
+	dClu := r.clusterWt * float64(r.dist(np)-r.dist(op))
 	return dWL + st.opts.DensityWeight*dDen + st.opts.ClusterWeight*dClu
 }
 
 // commit applies the move evaluated by the immediately preceding
-// moveDelta(ci, np) call: every affected net adopts its pending box, so no
-// net is recomputed a second time. st.wirelen is diagnostic bookkeeping
-// (never read by the annealer), updated from the same cached boxes.
-func (st *state) commit(ci int, np fpga.XY, delta float64) {
-	op := st.pos[ci]
-	ob, nbn := st.binIdx(op.X, op.Y), st.binIdx(np.X, np.Y)
-	st.pos[ci] = np
-	for _, ni := range st.cellNets[ci] {
-		st.wirelen += st.weights[ni] * (st.pends[ni].hpwl() - st.boxes[ni].hpwl())
-		st.boxes[ni] = st.pends[ni]
+// moveDelta(ci, np) call: every affected net of three or more pins adopts
+// its pending box, so no net is recomputed a second time.
+func (st *state) commit(ci int, np pt) {
+	op := st.xy[ci]
+	st.xy[ci] = np
+	for _, e := range st.inc[st.incOff[ci]:st.incOff[ci+1]] {
+		if e.other < 0 {
+			st.boxes[e.net] = st.pends[e.net]
+		}
 	}
-	if ob != nbn {
-		a := st.area[ci]
-		st.density += overflow2(st.binOcc[ob]-a, st.binCap[ob]) - overflow2(st.binOcc[ob], st.binCap[ob]) +
-			overflow2(st.binOcc[nbn]+a, st.binCap[nbn]) - overflow2(st.binOcc[nbn], st.binCap[nbn])
-		st.binOcc[ob] -= a
-		st.binOcc[nbn] += a
+	if ob, nb := st.binIdx(op), st.binIdx(np); ob != nb {
+		a := st.cells[ci].area
+		st.bins[ob].occ -= a
+		st.bins[nb].occ += a
 	}
-	st.cluster += st.clusterWt[ci] * float64(st.attract[ci].dist(np)-st.attract[ci].dist(op))
-	_ = delta
+}
+
+// metropolis reports u < e^-y, the Metropolis acceptance of an uphill move
+// with y = Δ/T > 0 and u uniform in [0, 1), exactly as u < math.Exp(-y)
+// decides it. For y > 0, e^y ≥ 1 + y + y²/2 (every Taylor term is
+// positive), so e^-y ≤ 1/(1 + y + y²/2). When u(1 + y + y²/2) exceeds
+// 1 + 1e-9, u exceeds e^-y by a relative margin of about 1e-9, far above
+// the few-ulp rounding of the product and math.Exp's error of under one
+// ulp, so math.Exp(-y) ≤ u and the move is rejected without calling Exp.
+// Otherwise math.Exp decides; a NaN product (NaN y, or u == 0 times an
+// infinite factor) compares false and lands there too.
+func metropolis(u, y float64) bool {
+	if u*(1+y+0.5*y*y) > 1+1e-9 {
+		return false
+	}
+	return u < math.Exp(-y)
 }
 
 // cancelCheckEvery is how many annealing moves run between context
@@ -732,6 +785,7 @@ func (st *state) anneal(ctx context.Context, rng *rand.Rand) error {
 	temp := 2 * sigma
 	window := float64(maxInt(st.dev.Cols, st.dev.Rows))
 	cool := math.Pow(0.005, 1/float64(maxInt(moves, 1))) // end at 0.5% of T0
+	shrink := math.Pow(cool, 0.5)                        // the window shrinks as √cool per move
 
 	for i := 0; i < moves; i++ {
 		if i%cancelCheckEvery == 0 {
@@ -745,16 +799,16 @@ func (st *state) anneal(ctx context.Context, rng *rand.Rand) error {
 			w = 2
 		}
 		np := st.randomTarget(rng, ci, w)
-		if np == st.pos[ci] {
+		if np == st.xy[ci] {
 			continue
 		}
 		d := st.moveDelta(ci, np)
-		if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
-			st.commit(ci, np, d)
+		if d <= 0 || metropolis(rng.Float64(), d/temp) {
+			st.commit(ci, np)
 			st.accepted++
 		}
 		temp *= cool
-		window = math.Max(2, window*math.Pow(cool, 0.5))
+		window = math.Max(2, window*shrink)
 	}
 	return nil
 }
@@ -762,15 +816,18 @@ func (st *state) anneal(ctx context.Context, rng *rand.Rand) error {
 // randomTarget proposes a legal location within a window around the cell.
 // Out-of-bounds proposals reflect off the die edge rather than clamping,
 // which would otherwise pile cells into the boundary rows and columns.
-func (st *state) randomTarget(rng *rand.Rand, ci, window int) fpga.XY {
-	cur := st.pos[ci]
-	x := reflect(cur.X+rng.Intn(2*window+1)-window, st.dev.Cols)
-	y := reflect(cur.Y+rng.Intn(2*window+1)-window, st.dev.Rows)
-	return fpga.XY{X: st.legalX(ci, x), Y: y}
+func (st *state) randomTarget(rng *rand.Rand, ci, window int) pt {
+	cur := st.xy[ci]
+	x := reflect(int(cur.x)+rng.Intn(2*window+1)-window, st.dev.Cols)
+	y := reflect(int(cur.y)+rng.Intn(2*window+1)-window, st.dev.Rows)
+	return pt{st.legalX(ci, x), int16(y)}
 }
 
 // reflect folds v into [0, n) by mirroring at the boundaries.
 func reflect(v, n int) int {
+	if v >= 0 && v < n {
+		return v
+	}
 	if n <= 1 {
 		return 0
 	}

@@ -3,6 +3,7 @@ package place
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -135,18 +136,19 @@ func TestPlaceEmptyNetlistFails(t *testing.T) {
 
 func TestRectDist(t *testing.T) {
 	r := rect{x0: 2, y0: 3, x1: 5, y1: 8}
+	rec := cellRec{x0: 2, y0: 3, x1: 5, y1: 8}
 	cases := []struct {
-		p    fpga.XY
+		p    pt
 		want int
 	}{
-		{fpga.XY{X: 3, Y: 4}, 0},
-		{fpga.XY{X: 2, Y: 3}, 0},
-		{fpga.XY{X: 0, Y: 4}, 2},
-		{fpga.XY{X: 6, Y: 9}, 2},
-		{fpga.XY{X: 0, Y: 0}, 5},
+		{pt{3, 4}, 0},
+		{pt{2, 3}, 0},
+		{pt{0, 4}, 2},
+		{pt{6, 9}, 2},
+		{pt{0, 0}, 5},
 	}
 	for _, c := range cases {
-		if got := r.dist(c.p); got != c.want {
+		if got := rec.dist(c.p); got != c.want {
 			t.Errorf("dist(%v) = %d, want %d", c.p, got, c.want)
 		}
 	}
@@ -239,5 +241,72 @@ func TestPlaceCapacityOverflow(t *testing.T) {
 func TestPlaceCapacityFitsRealDevice(t *testing.T) {
 	if err := checkCapacity(testNetlist(t), fpga.XC7Z020()); err != nil {
 		t.Fatalf("real design rejected: %v", err)
+	}
+}
+
+// TestMetropolisMatchesExp checks that the annealer's Exp-free reject
+// decides every case exactly as u < math.Exp(x) with x = -y: random pairs
+// over many scales of y, u at the ends of [0, 1), x just below zero, at
+// Exp's underflow edge and at -Inf, subnormal results, and u within a few
+// ulps of math.Exp(x), where a bound that is too tight rejects a move Exp
+// accepts. A bound above e^y fails it (1+y+y² or 1+y+y²/2+y³ in place of
+// 1+y+y²/2), and so does a negative margin (1-1e-15). Two weaker variants
+// pass and cannot be made to fail, because they are still exact: dropping
+// y²/2 leaves 1+y ≤ e^y, a valid bound that only decides fewer moves; and
+// margin 0 would need u·(1+y+y²/2) to round above 1 while u < Exp(-y),
+// which 60M probes of u one to three ulps below Exp(-y), y in
+// [1e-12, 1], never produced. The 1e-9 margin makes the proof independent
+// of rounding rather than fixing a known failure.
+func TestMetropolisMatchesExp(t *testing.T) {
+	check := func(u, x float64) {
+		t.Helper()
+		if got, want := metropolis(u, -x), u < math.Exp(x); got != want {
+			t.Fatalf("metropolis(u=%v, y=%v) = %v, u < Exp(%v) = %v", u, -x, got, x, want)
+		}
+	}
+	// near probes u at Exp(x) and at its ulp neighbours on both sides.
+	near := func(x float64) {
+		t.Helper()
+		e := math.Exp(x)
+		for _, u := range []float64{e, math.Nextafter(e, 0), math.Nextafter(e, 2),
+			math.Nextafter(math.Nextafter(e, 2), 2), e * (1 + 1e-12), e * (1 - 1e-12),
+			e * (1 + 2e-9), e * (1 + 5e-10)} {
+			if u < 1 {
+				check(u, x)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		var y float64
+		switch i % 4 {
+		case 0:
+			y = rng.Float64() // the annealer's common range
+		case 1:
+			y = 50 * rng.Float64()
+		case 2:
+			y = rng.ExpFloat64()
+		default:
+			y = math.Pow(10, -300+310*rng.Float64()) // 1e-300 .. 1e10
+		}
+		check(rng.Float64(), -y)
+		near(-y)
+	}
+	for _, x := range []float64{-5e-324, -1e-300, -0x1p-60, -0x1p-53, -1e-16, -1e-12, -1e-9,
+		-1e-6, -1e-3, -0.5, -1, -2, -30, -700, -708.5, -745, -745.1332191019411, -745.2,
+		-1e308, math.Inf(-1), math.NaN()} {
+		for _, u := range []float64{0, 0x1p-1074, 1e-320, 1e-310, 1e-300, 0.5, 1 - 0x1p-53} {
+			check(u, x)
+		}
+		near(x)
+	}
+	// Subnormal results: Exp(x) below 2^-1022 for x in (-745.13, -708.4).
+	for i := 0; i < 20000; i++ {
+		x := -708.4 - 36.7*rng.Float64()
+		if e := math.Exp(x); e == 0 || e >= 0x1p-1022 {
+			t.Fatalf("Exp(%v) = %v is not subnormal", x, e)
+		}
+		check(math.Exp(x)*2*rng.Float64(), x)
+		near(x)
 	}
 }

@@ -29,7 +29,16 @@ func EncodeDataset(ds *dataset.Dataset) []byte {
 	designs, designIdx := internStrings(ds.Samples, func(s *dataset.Sample) string { return s.Design })
 	files, fileIdx := internStrings(ds.Samples, func(s *dataset.Sample) string { return s.Src.File })
 
-	b := make([]byte, 0, 64+n*(4+8+8+4+8+1+1+8+24)+8*n*cols)
+	// Size the buffer exactly: the feature block alone is 8 bytes per
+	// cell (about 20 MB for the paper dataset), so a short estimate would
+	// make append copy all of it into a second, larger buffer.
+	size := 1 + 1 + 4 + 4 + 4 + 4 + n*(4+8+8+4+8+1+1+8+24) + 8*n*cols
+	for _, table := range [][]string{ds.FeatureNames, designs, files} {
+		for _, s := range table {
+			size += 4 + len(s)
+		}
+	}
+	b := make([]byte, 0, size)
 	b = appendU8(b, payloadDataset)
 	b = appendU8(b, datasetVersion)
 	b = appendU32(b, uint32(cols))

@@ -58,6 +58,10 @@ func TestDatasetRoundtrip(t *testing.T) {
 	if !bytes.Equal(enc, EncodeDataset(dec)) {
 		t.Error("re-encode is not byte-identical")
 	}
+	// The buffer is sized exactly, so encoding never regrows it.
+	if cap(enc) != len(enc) {
+		t.Errorf("encoded %d bytes into a %d-byte buffer", len(enc), cap(enc))
+	}
 }
 
 func TestDatasetFlatBacking(t *testing.T) {

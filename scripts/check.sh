@@ -3,7 +3,7 @@
 # whole module (vet and gofmt reach perfbench/ too), then the steps go
 # test cannot take: benchmark and fuzz smokes, repeated race runs, and the
 # contracts that need real processes (a live congserve, the hlscong
-# dataset build at two worker counts and cut short). These 21 steps are
+# dataset build at two worker counts and cut short). These 22 steps are
 # the gate every PR must keep green (see ROADMAP.md).
 set -eu
 cd "$(dirname "$0")/.."
@@ -88,6 +88,9 @@ go test -run '^$' -bench PredictPaperShape -benchtime 1x ./internal/ml/gbrt
 
 echo "== feature extraction bench smoke =="
 go test -run '^$' -bench ExtractDesign -benchtime 1x ./internal/features
+
+echo "== placer bench smoke =="
+go test -run '^$' -bench BenchmarkPlace -benchtime 1x ./internal/place
 
 # Decoders that face hostile bytes get a short bounded fuzz run on top of
 # their checked-in seed corpora (which go test replays): the store's
