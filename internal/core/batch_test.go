@@ -1,19 +1,26 @@
 package core
 
 // Tests for the validated batch-prediction contract: ragged input is a
-// typed data error (it arrives off the wire in the serving layer), and
-// concurrent PredictBatchInto callers sharing one Predictor must agree
-// with the sequential per-sample path.
+// typed data error (it arrives off the wire in the serving layer), a batch
+// with repeated rows scores each distinct row once and answers exactly as
+// the per-sample path does, a warm call allocates nothing, and concurrent
+// PredictBatchInto callers sharing one Predictor must agree with the
+// sequential per-sample path.
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/dataset"
 	"repro/internal/features"
+	"repro/internal/flow"
 )
 
 // batchDataset builds a synthetic full-width training set; batch tests
@@ -105,6 +112,161 @@ func TestPredictBatchIntoOutputLengthPanics(t *testing.T) {
 	p.PredictBatchInto(short, short, short, rows)
 }
 
+// catalogRows returns the feature rows of the first n ops of a catalog
+// design, one slice per op, so equal rows are equal bits in distinct
+// slices.
+func catalogRows(t testing.TB, name string, n int) [][]float64 {
+	t.Helper()
+	m := bench.Catalog()[name](bench.WithDirectives())
+	ex, err := moduleExtractor(m, flow.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := m.AllOps()[:n]
+	rows := make([][]float64, len(ops))
+	for i, o := range ops {
+		rows[i] = ex.Vector(o)
+	}
+	return rows
+}
+
+// repeatedBatch is 64 real rows of optical_flow, which repeat, then rows
+// the lookup must keep apart: one entry +0 in one row and −0 in another,
+// one entry one ulp apart in two more, each sent again later. Those
+// entries are ones rowSample does not read, so only the exact lookup can
+// tell the rows apart.
+func repeatedBatch(t testing.TB) [][]float64 {
+	t.Helper()
+	rows := catalogRows(t, "optical_flow", 64)
+	variant := func(j int, v float64) []float64 {
+		r := slices.Clone(rows[0])
+		r[j] = v
+		return r
+	}
+	pos, neg := variant(2, 0), variant(2, math.Copysign(0, -1))
+	lo, hi := variant(1, 1.5), variant(1, math.Nextafter(1.5, 2))
+	return append(rows, pos, neg, lo, hi, slices.Clone(neg), hi, slices.Clone(pos), rows[3])
+}
+
+// distinctSlots is the reference dedupe: each row's index among the
+// distinct rows by exact bits, in first-occurrence order, and the index
+// in rows of each distinct row.
+func distinctSlots(rows [][]float64) (slot, first []int) {
+	seen := map[string]int{}
+	for i, row := range rows {
+		var key []byte
+		for _, v := range row {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+		}
+		s, ok := seen[string(key)]
+		if !ok {
+			s = len(first)
+			seen[string(key)] = s
+			first = append(first, i)
+		}
+		slot = append(slot, s)
+	}
+	return slot, first
+}
+
+// kindPredictors is one predictor of every kind: the kept GBRT artifact
+// and quick Linear and ANN fits.
+func kindPredictors(t *testing.T) map[ModelKind]*Predictor {
+	t.Helper()
+	out := map[ModelKind]*Predictor{GBRT: keptPredictor(t)}
+	for _, kind := range []ModelKind{Linear, ANN} {
+		p, err := Train(batchDataset(60, 3), TrainOptions{Kind: kind, Seed: 1, Size: SizeQuick})
+		if err != nil {
+			t.Fatalf("train %s: %v", kind, err)
+		}
+		out[kind] = p
+	}
+	return out
+}
+
+func predictAll(t *testing.T, p *Predictor, rows [][]float64) (vert, horiz, avg []float64) {
+	t.Helper()
+	vert, horiz, avg = make([]float64, len(rows)), make([]float64, len(rows)), make([]float64, len(rows))
+	if err := p.PredictBatchInto(vert, horiz, avg, rows); err != nil {
+		t.Fatal(err)
+	}
+	return vert, horiz, avg
+}
+
+// TestPredictBatchIntoDedupesRepeatedRows checks that scoring each
+// distinct row once changes no answer: every row of a batch with repeats
+// must equal, bit for bit, its PredictSample answer and its answer in a
+// batch of the distinct rows alone, and the lookup must find exactly the
+// rows that are equal by bits.
+func TestPredictBatchIntoDedupesRepeatedRows(t *testing.T) {
+	rows := repeatedBatch(t)
+	slot, first := distinctSlots(rows)
+	if len(first) >= len(rows) {
+		t.Fatalf("%d distinct rows of %d: the batch must have repeats", len(first), len(rows))
+	}
+	unique := make([][]float64, len(first))
+	for k, i := range first {
+		unique[k] = rows[i]
+	}
+	bits := math.Float64bits
+	for kind, p := range kindPredictors(t) {
+		v, h, a := predictAll(t, p, rows)
+		uv, uh, ua := predictAll(t, p, unique)
+		for i, row := range rows {
+			sv, sh, sa := p.PredictSample(row)
+			if bits(v[i]) != bits(sv) || bits(h[i]) != bits(sh) || bits(a[i]) != bits(sa) {
+				t.Errorf("%s row %d: batch %v/%v/%v, PredictSample %v/%v/%v", kind, i, v[i], h[i], a[i], sv, sh, sa)
+			}
+			s := slot[i]
+			if bits(v[i]) != bits(uv[s]) || bits(h[i]) != bits(uh[s]) || bits(a[i]) != bits(ua[s]) {
+				t.Errorf("%s row %d: batch %v/%v/%v, distinct batch %v/%v/%v", kind, i, v[i], h[i], a[i], uv[s], uh[s], ua[s])
+			}
+		}
+	}
+
+	for _, pair := range [][2]int{{64, 65}, {66, 67}} {
+		if a, b := rows[pair[0]], rows[pair[1]]; rowSample(a) != rowSample(b) {
+			t.Fatalf("rows %d and %d differ in their sample, so the exact lookup is not exercised", pair[0], pair[1])
+		}
+	}
+	bs := batchScratchPool.New().(*batchScratch)
+	if n := bs.dedupe(rows); n != len(first) {
+		t.Fatalf("dedupe found %d distinct rows, want %d", n, len(first))
+	}
+	for k, i := range first {
+		if &bs.rows[k][0] != &rows[i][0] {
+			t.Errorf("distinct row %d is not row %d, its first occurrence", k, i)
+		}
+	}
+	for i, s := range bs.slot {
+		if int(s) != slot[i] {
+			t.Errorf("row %d: slot %d, want %d", i, s, slot[i])
+		}
+	}
+}
+
+// TestPredictBatchIntoZeroAllocRepeats guards the serving path: once its
+// pools are warm, a batch with repeated rows allocates nothing, for every
+// model kind.
+func TestPredictBatchIntoZeroAllocRepeats(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are unstable under -race: sync.Pool randomly drops Puts")
+	}
+	rows := repeatedBatch(t)
+	vert, horiz, avg := make([]float64, len(rows)), make([]float64, len(rows)), make([]float64, len(rows))
+	for kind, p := range kindPredictors(t) {
+		predict := func() {
+			if err := p.PredictBatchInto(vert, horiz, avg, rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		predict() // warm the pools
+		if n := testing.AllocsPerRun(100, predict); n != 0 {
+			t.Errorf("%s: PredictBatchInto made %v allocs per call, want 0", kind, n)
+		}
+	}
+}
+
 // TestPredictBatchIntoConcurrent hammers one Predictor from many
 // goroutines under -race: the pooled scratch inside PredictBatchInto must
 // be per-call, and every result must equal the sequential PredictSample
@@ -118,7 +280,15 @@ func TestPredictBatchIntoConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("train: %v", err)
 			}
-			rows := batchRows(48, 11)
+			// 48 rows of 16 distinct ones, the repeats held in rows of
+			// their own: every sub-batch of 17 rows or more has repeats,
+			// so -race covers the pooled lookup and the reuse of its
+			// cleared keys.
+			base := batchRows(16, 11)
+			rows := make([][]float64, 48)
+			for i := range rows {
+				rows[i] = slices.Clone(base[i*5%len(base)])
+			}
 			wantV := make([]float64, len(rows))
 			wantH := make([]float64, len(rows))
 			wantA := make([]float64, len(rows))

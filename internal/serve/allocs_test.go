@@ -3,9 +3,10 @@ package serve
 // Steady-state allocation guards for the serving hot path: once the job,
 // matrix and response pools are warm, the complete /predict path — admit,
 // decode, coalesce, predict, encode — must not allocate at all, in both
-// wire formats.
+// wire formats, for bodies of distinct rows and bodies full of repeats.
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -125,6 +126,61 @@ func TestServeBytesZeroAllocWithRecorder(t *testing.T) {
 	}
 	if !found {
 		t.Error("recorder window shows no serve.requests delta after the measured traffic")
+	}
+}
+
+// repeatRows is n rows of which only distinct differ: row i repeats row
+// i%distinct, in a slice of its own, as real designs repeat their ops.
+func repeatRows(n, distinct int, seed int64) [][]float64 {
+	base := randRows(distinct, seed)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = slices.Clone(base[i%distinct])
+	}
+	return rows
+}
+
+// TestServeBytesZeroAllocRepeats covers the predictor's distinct-row
+// lookup on the serving path: duplicate-heavy binary and JSON bodies,
+// through a real coalescing window and through sharded admission, must
+// stay allocation-free.
+func TestServeBytesZeroAllocRepeats(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		binary bool
+		shards int
+	}{
+		{"binary/windowed", true, 1},
+		{"json/windowed", false, 1},
+		{"binary/sharded", true, 4},
+		{"json/sharded", false, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := repeatRows(48, 12, 59)
+			req := binaryRequest(rows)
+			if !tc.binary {
+				req = jsonRequest(t, rows)
+			}
+			opts := Options{Window: -1, shards: tc.shards}
+			if tc.shards == 1 {
+				// As in TestServeBytesZeroAllocWindowed: a phantom admission
+				// slot makes the batcher wait out the window.
+				opts.Window = 20 * time.Microsecond
+			}
+			s := newTestServer(t, opts)
+			if tc.shards == 1 {
+				s.shards[0].sem <- struct{}{}
+				defer func() { <-s.shards[0].sem }()
+			}
+			var dst []byte
+			requireZeroAllocs(t, "ServeBytes/repeats/"+tc.name, func() {
+				out, err := s.ServeBytes(req, tc.binary, dst[:0])
+				if err != nil {
+					t.Fatalf("ServeBytes: %v", err)
+				}
+				dst = out
+			})
+		})
 	}
 }
 

@@ -7,11 +7,18 @@ package serve
 
 import (
 	"context"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/features"
+	"repro/internal/flow"
+	"repro/internal/graph"
+	"repro/internal/hls"
 	"repro/internal/ml"
 )
 
@@ -154,23 +161,64 @@ func BenchmarkDecodeJSONRows(b *testing.B) {
 	}
 }
 
+// catalogBody draws the feature rows of 64 ops of one catalog design, as
+// perfbench's serve-http workload draws the first of its bodies for seed:
+// the design by rng.Intn over the sorted names, the ops by rng.Perm. Real
+// designs repeat their ops, so about half the rows repeat another.
+func catalogBody(b *testing.B, seed int64) [][]float64 {
+	b.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cat := bench.Catalog()
+	names := make([]string, 0, len(cat))
+	for name := range cat {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	m := cat[names[rng.Intn(len(names))]](bench.WithDirectives())
+	cfg := flow.DefaultConfig()
+	sched, err := hls.ScheduleModule(m, cfg.Clock)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bind := hls.BindModule(sched)
+	ex := features.NewExtractor(m, sched, bind, graph.Build(m, bind), cfg.Dev)
+	ops := m.AllOps()
+	rows := make([][]float64, 64)
+	for r, k := range rng.Perm(len(ops))[:len(rows)] {
+		rows[r] = ex.Vector(ops[k])
+	}
+	return rows
+}
+
 // BenchmarkPredictBatchDirect is the floor: PredictBatchInto with no
 // serving layer at all. The gap between this and ServeBytes is the total
-// overhead of admission + decode + coalesce + encode.
+// overhead of admission + decode + coalesce + encode. distinct is 64
+// random rows, so it prices the repeated-row lookup on traffic it cannot
+// help; repeats is 64 real ops of one design, whose repeats it saves.
 func BenchmarkPredictBatchDirect(b *testing.B) {
-	p := benchPredictor(b)
-	rows := randRows(64, 9)
-	vert := make([]float64, len(rows))
-	horiz := make([]float64, len(rows))
-	avg := make([]float64, len(rows))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.PredictBatchInto(vert, horiz, avg, rows); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		rows func() [][]float64
+	}{
+		{"distinct", func() [][]float64 { return randRows(64, 9) }},
+		{"repeats", func() [][]float64 { return catalogBody(b, 201) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := benchPredictor(b)
+			rows := bc.rows()
+			vert := make([]float64, len(rows))
+			horiz := make([]float64, len(rows))
+			avg := make([]float64, len(rows))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.PredictBatchInto(vert, horiz, avg, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			preds := float64(len(rows)) * float64(b.N)
+			b.ReportMetric(preds/b.Elapsed().Seconds(), "preds/s")
+		})
 	}
-	b.StopTimer()
-	preds := float64(len(rows)) * float64(b.N)
-	b.ReportMetric(preds/b.Elapsed().Seconds(), "preds/s")
 }

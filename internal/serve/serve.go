@@ -18,6 +18,11 @@
 //     admitted request is already in the batch (the admission semaphore
 //     proves no companion can arrive), so closed-loop clients never pay
 //     the window — only genuinely concurrent traffic does.
+//   - Repeated rows are scored once: PredictBatchInto looks each row of
+//     the batch up by its exact float64 bits and evaluates only the first
+//     occurrence of each, and every repeat copies that answer. Real design
+//     rows are about half repeats, and since a coalesced batch is one
+//     call, a row repeated across requests is scored once too.
 //   - Multi-core scale-out: the server runs one independent batcher
 //     shard (lane) per GOMAXPROCS, each owning its own admission
 //     semaphore, submit queue, window timer and batch scratch. A request

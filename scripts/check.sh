@@ -165,14 +165,15 @@ grep -q '"status": "ok"' "$S/healthz.json" || {
 	exit 1
 }
 # One JSON body serves every /predict below: 4 rows of fixed, varied
-# values, as wide as the "features" count the server reports.
+# values, as wide as the "features" count the server reports, then a
+# fifth row that repeats row 0.
 awk -F': ' '/"features"/ {
 	n = $2 + 0
 	printf "{\"rows\": ["
-	for (r = 0; r < 4; r++) {
+	for (r = 0; r < 5; r++) {
 		printf "%s[", (r ? ", " : "")
 		for (j = 0; j < n; j++)
-			printf "%s%.6g", (j ? ", " : ""), ((r * 131 + j * 17) % 97) / 24.25 - 2
+			printf "%s%.6g", (j ? ", " : ""), (((r % 4) * 131 + j * 17) % 97) / 24.25 - 2
 		printf "]"
 	}
 	printf "]}\n"
@@ -184,8 +185,18 @@ predict() {
 		"http://$1/predict"
 }
 for i in 1 2 3 4 5; do
-	predict "$ADDR" > "$S/load.json" && grep -q '^{"rows":4,' "$S/load.json" || {
-		echo "FAIL: /predict request $i did not return 4 predictions"
+	predict "$ADDR" > "$S/load.json" && grep -q '^{"rows":5,' "$S/load.json" || {
+		echo "FAIL: /predict request $i did not return 5 predictions"
+		exit 1
+	}
+done
+# The predictor scores a repeated row once and copies its answer: entry 4
+# of each list must read exactly as entry 0.
+for key in vert horiz avg; do
+	sed -E "s/.*\"$key\":\[([^]]*)\].*/\1/" "$S/load.json" |
+		awk -F, 'NF == 5 && $5 "" == $1 "" { ok = 1 } END { exit !ok }' || {
+		echo "FAIL: /predict $key entry 4 (a repeat of row 0) differs from entry 0"
+		cat "$S/load.json"
 		exit 1
 	}
 done
@@ -274,7 +285,7 @@ untrack "$SERVE_PID"
 }
 wait "$LOAD_PID" || true
 untrack "$LOAD_PID"
-grep -q '^{"rows":4,' "$S/drain.json" || {
+grep -q '^{"rows":5,' "$S/drain.json" || {
 	echo "FAIL: no request completed during the drain window"
 	exit 1
 }
