@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -473,11 +474,12 @@ type Predictor struct {
 	// dataset.Targets order, over one set of threshold tables: each row is
 	// scaled and binned once for all three. Nil for the other kinds.
 	gbrt *gbrt.Evaluator
-	// query caches one PredictModule call's scratch for the next call. A
-	// call takes it out with Swap and puts it back when done, so a second
-	// concurrent call finds it empty and allocates its own; whichever
-	// finishes last is kept.
-	query atomic.Pointer[queryScratch]
+	// query caches a PredictModule call's scratch for the next call, one
+	// slot per span. A span takes its slot's scratch out with Swap and
+	// puts it back when done, so the same span of a second concurrent
+	// call finds the slot empty and allocates its own; whichever finishes
+	// last is kept.
+	query [maxQuerySpans]atomic.Pointer[queryScratch]
 }
 
 // TrainOptions tunes predictor training.
@@ -751,27 +753,49 @@ func newQueryScratch() *queryScratch {
 	}
 }
 
+// querySpan is the fewest ops a span of PredictModule extracts and scores
+// on a worker of its own. With two workers, designs under two spans'
+// worth of ops gained nothing from splitting, so they stay one span.
+const querySpan = 512
+
+// maxQuerySpans bounds the spans of one query, and with them the chunk
+// buffers a Predictor keeps between queries.
+const maxQuerySpans = 8
+
+// querySpans is how many spans PredictModule splits n ops into: one per
+// CPU, each of at least querySpan ops.
+func querySpans(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/querySpan, maxQuerySpans))
+}
+
 // PredictModule estimates per-operation congestion for a design running
 // only the HLS front half (schedule + bind + feature extraction) — no
 // placement, no routing. This is the prediction phase of Fig. 2: the whole
 // point of the paper is that this call replaces hours of RTL
 // implementation.
 //
-// Extraction streams into prediction, and each distinct feature row is
-// evaluated once: every op is extracted into one buffer of predictChunk
-// rows, an op whose row the buffer already holds shares that row, and the
-// buffer is predicted whenever it is full of distinct rows, and at the
-// end. HLS designs repeat their ops through unrolled loops and replicated
-// units, so most ops share a row. Predictions are per row, so the answers
-// equal those of one batch over every op. The Predictor keeps the buffer
-// for its next query; concurrent queries are safe, each beyond the first
-// working in a buffer of its own.
+// The ops are split into contiguous spans, one per CPU and each of at
+// least querySpan ops, and every span is extracted and scored on a worker
+// of its own, with its own extractor scratch (features.Extractor.Fork)
+// and chunk buffer; a small design, or one CPU, is one span on the
+// calling goroutine. Within a span, extraction streams into prediction
+// and each distinct feature row is evaluated once: every op is extracted
+// into one buffer of predictChunk rows, an op whose row the buffer
+// already holds shares that row, and the buffer is predicted whenever it
+// is full of distinct rows, and at the end. HLS designs repeat their ops
+// through unrolled loops and replicated units, so most ops share a row;
+// a row that recurs in two spans is evaluated in each. Predictions are
+// per row, so the answers equal those of one batch over every op,
+// whatever the span count. The Predictor keeps each span's buffer for its
+// next query; concurrent queries are safe, each beyond the first working
+// in buffers of its own. The first error in span order is returned.
 func (p *Predictor) PredictModule(m *ir.Module, cfg flow.Config) ([]OpPrediction, error) {
 	ex, err := moduleExtractor(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out, _, err := p.predictOps(ex, m.AllOps())
+	ops := m.AllOps()
+	out, _, err := p.predictOps(ex, ops, querySpans(len(ops)))
 	return out, err
 }
 
@@ -786,19 +810,51 @@ func moduleExtractor(m *ir.Module, cfg flow.Config) (*features.Extractor, error)
 	return features.NewExtractor(m, sched, bind, graph.Build(m, bind), cfg.Dev), nil
 }
 
-// predictOps predicts every op from its feature row, evaluating each
-// distinct row of a chunk once, and also returns how many rows it
-// evaluated. It works in the Predictor's cached queryScratch when no other
-// call holds it, and in a fresh one otherwise.
-func (p *Predictor) predictOps(ex *features.Extractor, ops []*ir.Op) ([]OpPrediction, int, error) {
+// predictOps predicts every op from its feature row in the given number
+// of contiguous spans (at most maxQuerySpans, and no more than ops), and
+// also returns how many rows it evaluated, summed over the spans.
+func (p *Predictor) predictOps(ex *features.Extractor, ops []*ir.Op, spans int) ([]OpPrediction, int, error) {
 	if len(ops) == 0 {
 		return nil, 0, nil
 	}
-	sc := p.query.Swap(nil)
+	spans = min(spans, maxQuerySpans, len(ops))
+	out := make([]OpPrediction, len(ops))
+	if spans <= 1 {
+		rows, err := p.predictSpan(0, ex, ops, out)
+		if err != nil {
+			return nil, 0, err
+		}
+		return out, rows, nil
+	}
+	rows, errs, _ := parallel.Map(context.TODO(), spans, spans, func(_ context.Context, i int) (int, error) {
+		lo, hi := i*len(ops)/spans, (i+1)*len(ops)/spans
+		sx := ex
+		if i > 0 {
+			sx = ex.Fork()
+		}
+		return p.predictSpan(i, sx, ops[lo:hi], out[lo:hi])
+	})
+	evaluated := 0
+	for i, err := range errs {
+		if err != nil {
+			return nil, 0, err
+		}
+		evaluated += rows[i]
+	}
+	return out, evaluated, nil
+}
+
+// predictSpan predicts ops into out, evaluating each distinct row of a
+// chunk once, and returns how many rows it evaluated. It works in the
+// queryScratch cached in the Predictor's slot for the span when no other
+// call holds it, and in a fresh one otherwise.
+func (p *Predictor) predictSpan(slot int, ex *features.Extractor, ops []*ir.Op, out []OpPrediction) (int, error) {
+	cache := &p.query[slot]
+	sc := cache.Swap(nil)
 	if sc == nil {
 		sc = newQueryScratch()
 	}
-	defer p.query.Store(sc)
+	defer cache.Store(sc)
 	// A call that returns early leaves rows in the lookup; the next call
 	// must start from an empty one.
 	clear(sc.slots)
@@ -807,7 +863,6 @@ func (p *Predictor) predictOps(ex *features.Extractor, ops []*ir.Op) ([]OpPredic
 	}
 	rows, vert, horiz, avg, slots := sc.rows, sc.vert, sc.horiz, sc.avg, sc.slots
 	opSlot := sc.opSlot[:len(ops)]
-	out := make([]OpPrediction, len(ops))
 	// rows[:used] are the chunk's distinct rows; ops[done:] are the ops not
 	// yet answered, each reading its row from rows[opSlot[i]].
 	used, done, evaluated := 0, 0, 0
@@ -839,16 +894,16 @@ func (p *Predictor) predictOps(ex *features.Extractor, ops []*ir.Op) ([]OpPredic
 		}
 		if used++; used == predictChunk {
 			if err := flush(i + 1); err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 		}
 	}
 	if done < len(ops) {
 		if err := flush(len(ops)); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
-	return out, evaluated, nil
+	return evaluated, nil
 }
 
 // rowSlots finds the slot that already holds a feature row: in

@@ -15,6 +15,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -141,7 +142,8 @@ func evaluatedRows(t *testing.T, p *Predictor, m *ir.Module, cfg flow.Config) in
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rows, err := p.predictOps(ex, m.AllOps())
+	ops := m.AllOps()
+	_, rows, err := p.predictOps(ex, ops, querySpans(len(ops)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +177,130 @@ func TestRowSlotsMatchExactBits(t *testing.T) {
 
 // TestPredictModuleEvaluatesDistinctRows pins the saving the dedupe makes
 // on the replicated Face Detection design: its 6,642 ops have 55 distinct
-// feature rows, and those are all PredictModule evaluates.
+// feature rows, and those are all PredictModule evaluates in one span.
+// Split into spans, each span evaluates its own distinct rows, so a row
+// that recurs in two spans is evaluated twice: the count must equal the
+// sum of every span's distinct rows, found by a sequential reference.
 func TestPredictModuleEvaluatesDistinctRows(t *testing.T) {
 	m := bench.FaceDetection(bench.Replication())
 	if got := m.NumOps(); got != 6642 {
 		t.Fatalf("FaceDetection(Replication()) has %d ops, want 6642", got)
 	}
-	if got := evaluatedRows(t, keptPredictor(t), m, flow.DefaultConfig()); got != 55 {
+	p := keptPredictor(t)
+	cfg := flow.DefaultConfig()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := evaluatedRows(t, p, m, cfg); got != 55 {
 		t.Fatalf("PredictModule evaluated %d rows for %d ops, want 55", got, m.NumOps())
+	}
+
+	ex, err := moduleExtractor(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := m.AllOps()
+	for _, spans := range []int{2, 4} {
+		want := 0
+		for i := 0; i < spans; i++ {
+			distinct := map[string]bool{}
+			for _, o := range ops[i*len(ops)/spans : (i+1)*len(ops)/spans] {
+				distinct[string(rowKey(ex.Vector(o)))] = true
+			}
+			if len(distinct) >= predictChunk {
+				t.Fatalf("span %d of %d has %d distinct rows; the reference assumes one chunk", i, spans, len(distinct))
+			}
+			want += len(distinct)
+		}
+		_, got, err := p.predictOps(ex, ops, spans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d spans: %d rows evaluated", spans, got)
+		if got != want {
+			t.Fatalf("%d spans evaluated %d rows, want the spans' %d distinct rows", spans, got, want)
+		}
+	}
+}
+
+// queryModules returns the eleven designs of perfbench's design-query
+// workload: every catalog design with its directives, and Face Detection
+// under the paper's three other directive sets.
+func queryModules() map[string]*ir.Module {
+	mods := map[string]*ir.Module{
+		"face_detection.without_directives": bench.FaceDetection(bench.WithoutDirectives()),
+		"face_detection.not_inline":         bench.FaceDetection(bench.NotInline()),
+		"face_detection.replication":        bench.FaceDetection(bench.Replication()),
+	}
+	for name, gen := range bench.Catalog() {
+		mods[name] = gen(bench.WithDirectives())
+	}
+	return mods
+}
+
+// TestPredictModuleSpansAnswerIdentically splits every design-query design
+// into 1, 2 and 4 spans: the answers must be byte-identical, whatever the
+// host's CPU count. Run it under -race: two spans writing one buffer or
+// one extractor scratch would show here.
+func TestPredictModuleSpansAnswerIdentically(t *testing.T) {
+	p := keptPredictor(t)
+	cfg := flow.DefaultConfig()
+	for name, m := range queryModules() {
+		ex, err := moduleExtractor(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		for _, spans := range []int{1, 2, 4} {
+			preds, _, err := p.predictOps(ex, m.AllOps(), spans)
+			if err != nil {
+				t.Fatalf("%s, %d spans: %v", name, spans, err)
+			}
+			got := answerBytes(preds)
+			if spans == 1 {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("%s: %d spans answer differently from one", name, spans)
+			}
+		}
+	}
+}
+
+// TestQueryObjectCount pins the objects one design query allocates, IR
+// text in and answer out, as runtime.MemStats.Mallocs counts them across
+// every goroutine: about 1.25 times the count measured with slab-allocated
+// parse, bind and graph structures. Allocating per op or per line again
+// (an Op, a unit, a node or a line string each) breaks the bound on both
+// designs. It must not run in parallel with other tests.
+func TestQueryObjectCount(t *testing.T) {
+	p := keptPredictor(t)
+	cfg := flow.DefaultConfig()
+	mods := queryModules()
+	for _, c := range []struct {
+		name  string
+		limit uint64
+	}{{"digit_spam", 4300}, {"face_detection.replication", 22300}} {
+		var text strings.Builder
+		if err := ir.WriteText(&text, mods[c.name]); err != nil {
+			t.Fatal(err)
+		}
+		query := func() {
+			m, err := ir.ParseText(strings.NewReader(text.String()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.PredictModule(m, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		query() // fill the Predictor's chunk buffers
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		query()
+		runtime.ReadMemStats(&after)
+		got := after.Mallocs - before.Mallocs
+		t.Logf("%s: %d objects, %d B", c.name, got, after.TotalAlloc-before.TotalAlloc)
+		if got > c.limit {
+			t.Errorf("%s: one query allocated %d objects, want at most %d", c.name, got, c.limit)
+		}
 	}
 }
 

@@ -99,9 +99,11 @@ func Categories() []Category {
 // vector.
 //
 // An Extractor is NOT safe for concurrent use: the scratch state makes
-// Vector/VectorInto calls mutually exclusive. The parallel dataset builder
-// respects this by constructing one Extractor per module and extracting on
-// a single goroutine.
+// Vector/VectorInto calls mutually exclusive. Fork gives another goroutine
+// an Extractor of its own over the same design: the per-design state
+// (function blocks, graph, schedule) is built once and only read, and
+// each fork has its own scratch. The dataset builder extracts each module
+// on one goroutine; PredictModule forks one Extractor per span of ops.
 type Extractor struct {
 	Mod   *ir.Module
 	Sched *hls.Schedule
@@ -187,6 +189,26 @@ func NewExtractor(m *ir.Module, s *hls.Schedule, b *hls.Binding, g *graph.Graph,
 	e.fillGlobal(e.emptyFI)
 	e.seen = make([]int, len(g.Nodes))
 	return e
+}
+
+// Fork returns an Extractor over the same design that shares e's
+// read-only per-design state and has scratch of its own, so e and the fork
+// may extract on two goroutines at once. Both give every op the same
+// vector. Fork reads none of e's scratch, so it may be called while e
+// extracts.
+func (e *Extractor) Fork() *Extractor {
+	return &Extractor{
+		Mod:      e.Mod,
+		Sched:    e.Sched,
+		Bind:     e.Bind,
+		Graph:    e.Graph,
+		Dev:      e.Dev,
+		funcInfo: e.funcInfo,
+		topInfo:  e.topInfo,
+		emptyFI:  e.emptyFI,
+		nLive:    e.nLive,
+		seen:     make([]int, len(e.Graph.Nodes)),
+	}
 }
 
 // opCtx caches the per-op intermediates shared by many features: the

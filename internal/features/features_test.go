@@ -886,6 +886,45 @@ func TestVectorIntoMatchesVector(t *testing.T) {
 	}
 }
 
+// TestForkExtractsConcurrently extracts one design on an Extractor and on
+// its Fork at the same time, each walking all ops: every vector must keep
+// the bits of a sequential extraction. Run it under -race: a scratch the
+// two shared would show here.
+func TestForkExtractsConcurrently(t *testing.T) {
+	m := bench.FaceDetection(bench.NotInline())
+	ex := extractorOf(t, m)
+	ops := m.AllOps()
+	want := make([][]float64, len(ops))
+	for i, o := range ops {
+		want[i] = ex.Vector(o)
+	}
+	errs := make(chan error, 2)
+	walk := func(e *Extractor, reverse bool) {
+		dst := make([]float64, NumFeatures)
+		for k := range ops {
+			i := k
+			if reverse {
+				i = len(ops) - 1 - k
+			}
+			e.VectorInto(dst, ops[i])
+			for j, v := range dst {
+				if math.Float64bits(v) != math.Float64bits(want[i][j]) {
+					errs <- fmt.Errorf("op %s feature %q: %v, sequential %v", ops[i].Name, Names()[j], v, want[i][j])
+					return
+				}
+			}
+		}
+		errs <- nil
+	}
+	go walk(ex, false)
+	go walk(ex.Fork(), true)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestVectorIntoRejectsWrongLength(t *testing.T) {
 	ex, m, _ := extractorFor(t)
 	defer func() {

@@ -78,14 +78,32 @@ type Graph struct {
 // Build constructs the graph for a module. When binding is non-nil,
 // operations bound to one shared functional unit collapse into a combined
 // node; passing nil keeps one node per operation (the pre-merge graph).
+//
+// The nodes come from one slab, every edge from one []Edge and the In and
+// Out lists from two pointer backings, each list carved with cap == len:
+// a graph costs a handful of allocations whatever its size.
 func Build(m *ir.Module, binding *hls.Binding) *Graph {
 	g := &Graph{OfOp: ir.NewOpTable[*Node](m)}
+	ops := m.AllOps()
+	// One node per unit and one per op the binder never saw. A node is
+	// complete once its pointer is taken, so even a slab that had to grow
+	// would leave every node where g.Nodes points.
+	nodes := len(ops)
 	if binding != nil {
-		g.Nodes = make([]*Node, 0, len(binding.Units))
+		nodes = len(binding.Units)
+		for _, o := range ops {
+			if _, ok := binding.UnitOf.Lookup(o); !ok {
+				nodes++
+			}
+		}
 	}
+	slab := make([]Node, 0, nodes)
+	g.Nodes = make([]*Node, 0, nodes)
+	var single []*ir.Op // backs the Ops lists of one-op nodes
 
-	newNode := func(ops []*ir.Op) *Node {
-		n := &Node{ID: len(g.Nodes), Ops: ops, Kind: ops[0].Kind}
+	newNode := func(ops []*ir.Op) {
+		slab = append(slab, Node{ID: len(g.Nodes), Ops: ops, Kind: ops[0].Kind})
+		n := &slab[len(slab)-1]
 		for _, o := range ops {
 			if o.Bitwidth > n.Bitwidth {
 				n.Bitwidth = o.Bitwidth
@@ -94,23 +112,22 @@ func Build(m *ir.Module, binding *hls.Binding) *Graph {
 		}
 		n.res = hls.Characterize(n.Kind, n.Bitwidth).Res
 		g.Nodes = append(g.Nodes, n)
-		return n
 	}
 
-	ops := m.AllOps()
 	if binding != nil {
 		for _, u := range binding.Units {
 			newNode(u.Ops)
 		}
-		// Ops a binder never saw (none today, but keep the graph total).
-		for _, o := range ops {
-			if _, ok := g.OfOp.Lookup(o); !ok {
-				newNode([]*ir.Op{o})
+	}
+	// Ops a binder never saw (none today, but keep the graph total), or
+	// every op of the pre-merge graph.
+	for _, o := range ops {
+		if _, ok := g.OfOp.Lookup(o); !ok {
+			if single == nil {
+				single = make([]*ir.Op, 0, nodes-len(slab))
 			}
-		}
-	} else {
-		for _, o := range ops {
-			newNode([]*ir.Op{o})
+			single = append(single, o)
+			newNode(single[len(single)-1 : len(single) : len(single)])
 		}
 	}
 
@@ -119,10 +136,20 @@ func Build(m *ir.Module, binding *hls.Binding) *Graph {
 	// wires, indexed by node ID; touched[id] == to.ID+1 marks the producers
 	// the current node has seen. Every In list is in producer-ID order, and
 	// filling the Out lists from the In lists in node order puts every Out
-	// list in consumer-ID order.
+	// list in consumer-ID order. There are at most as many edges as
+	// operands of the nodes' ops, so the edge slab never grows and its
+	// pointers stay valid.
+	operands := 0
+	for _, n := range g.Nodes {
+		for _, o := range n.Ops {
+			operands += len(o.Operands)
+		}
+	}
 	wires := make([]int, len(g.Nodes))
 	touched := make([]int, len(g.Nodes))
 	outDeg := make([]int, len(g.Nodes))
+	edges := make([]Edge, 0, operands)
+	inBack := make([]*Edge, operands)
 	var from []int
 	for _, to := range g.Nodes {
 		from = from[:0]
@@ -144,17 +171,20 @@ func Build(m *ir.Module, binding *hls.Binding) *Graph {
 			continue
 		}
 		slices.Sort(from)
-		edges := make([]Edge, len(from))
-		to.In = make([]*Edge, len(from))
+		first := len(edges)
+		to.In = inBack[first : first+len(from) : first+len(from)]
 		for i, id := range from {
-			edges[i] = Edge{From: g.Nodes[id], To: to, Wires: wires[id]}
-			to.In[i] = &edges[i]
+			edges = append(edges, Edge{From: g.Nodes[id], To: to, Wires: wires[id]})
+			to.In[i] = &edges[first+i]
 			outDeg[id]++
 		}
 	}
+	outBack := make([]*Edge, len(edges))
+	next := 0
 	for _, n := range g.Nodes {
-		if outDeg[n.ID] > 0 {
-			n.Out = make([]*Edge, 0, outDeg[n.ID])
+		if d := outDeg[n.ID]; d > 0 {
+			n.Out = outBack[next : next : next+d]
+			next += d
 		}
 	}
 	for _, to := range g.Nodes {

@@ -72,22 +72,33 @@ func MuxResources(inputs, width int) Resources {
 // compatible unit (same kind, same width bucket, disjoint busy interval, not
 // in a pipelined loop). Every other op gets a private unit. Memory banks are
 // materialized per array partition.
+//
+// A function's units come from one slab with a slot per op, and each new
+// unit's op list and busy spans are carved from two backings with one
+// entry per op. A carved slice has room for its first entry only, so a
+// second op joining the unit reallocates it instead of writing over the
+// next unit's entries.
 func BindModule(s *Schedule) *Binding {
 	b := &Binding{
 		Sched:  s,
 		UnitOf: ir.NewOpTable[*FU](s.Mod),
 		BankOf: make(map[*ir.Array][]*MemBank),
 	}
+	b.Units = make([]*FU, 0, s.Mod.NumOps())
 	nextFU := 0
 	nextBank := 0
 	for _, f := range s.Mod.LiveFuncs() {
 		// busy[u.ID-firstFU] lists unit u's [start,end] intervals; a
 		// function's units are numbered from firstFU up.
 		firstFU := nextFU
-		var busy [][]span
+		ops := s.SortedOps(f)
+		slab := make([]FU, len(ops))
+		opsBack := make([]*ir.Op, len(ops))
+		spanBack := make([]span, len(ops))
+		busy := make([][]span, 0, len(ops))
 		var candidates []*FU
 
-		for _, o := range s.SortedOps(f) {
+		for _, o := range ops {
 			slot := s.Slots.Get(o)
 			pipelined := false
 			for l := o.Loop; l != nil; l = l.Parent {
@@ -115,15 +126,18 @@ func BindModule(s *Schedule) *Binding {
 				if Sharable(o.Kind, o.Bitwidth) {
 					width = widthBucket(o.Bitwidth)
 				}
-				unit = &FU{
+				k := nextFU - firstFU
+				unit = &slab[k]
+				*unit = FU{
 					ID:    nextFU,
 					Kind:  o.Kind,
 					Width: width,
 					Func:  f,
+					Ops:   opsBack[k : k : k+1],
 					Res:   Characterize(o.Kind, width).Res,
 				}
 				nextFU++
-				busy = append(busy, nil)
+				busy = append(busy, spanBack[k:k:k+1])
 				b.Units = append(b.Units, unit)
 				if Sharable(o.Kind, o.Bitwidth) && !pipelined {
 					candidates = append(candidates, unit)

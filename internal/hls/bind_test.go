@@ -3,6 +3,7 @@ package hls
 import (
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/ir"
 )
 
@@ -107,22 +108,29 @@ func TestBindingInsertsMuxes(t *testing.T) {
 	}
 }
 
+// TestBindingEveryOpHasUnit checks that every op sits in exactly one
+// unit, the one UnitOf names, on designs where units are shared in
+// between the creation of others: a unit's op list must never take an
+// entry of another's.
 func TestBindingEveryOpHasUnit(t *testing.T) {
-	m := serialMuls(5)
-	b := bindOf(t, m)
-	for _, o := range m.AllOps() {
-		u := b.UnitOf.Get(o)
-		if u == nil {
-			t.Fatalf("op %v has no unit", o)
-		}
-		found := false
-		for _, bound := range u.Ops {
-			if bound == o {
-				found = true
+	for _, m := range []*ir.Module{serialMuls(5), bench.DigitSpam(), bench.FaceDetection(bench.WithDirectives())} {
+		b := bindOf(t, m)
+		listed := 0
+		for _, u := range b.Units {
+			for _, o := range u.Ops {
+				if b.UnitOf.Get(o) != u {
+					t.Fatalf("%s: op %v is listed by unit %d but bound to another", m.Name, o, u.ID)
+				}
 			}
+			listed += len(u.Ops)
 		}
-		if !found {
-			t.Fatalf("op %v missing from its unit's op list", o)
+		if listed != m.NumOps() {
+			t.Fatalf("%s: units list %d ops, the module has %d", m.Name, listed, m.NumOps())
+		}
+		for _, o := range m.AllOps() {
+			if b.UnitOf.Get(o) == nil {
+				t.Fatalf("%s: op %v has no unit", m.Name, o)
+			}
 		}
 	}
 }

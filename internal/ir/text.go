@@ -108,13 +108,20 @@ func writeOp(bw *bufio.Writer, o *Op) error {
 // ParseText reconstructs a module from WriteText output. The result passes
 // Validate and preserves op IDs, so provenance stays stable across a
 // round-trip.
+//
+// The input is read once into one string and every line, name and file is
+// a slice of it. The ops come from one slab and their operands from
+// another, both sized by a first pass over the lines, and operands resolve
+// through a dense index by op ID, so a parse allocates per structure, not
+// per line or per op. A line of 4 MiB or more is an error.
 func ParseText(r io.Reader) (*Module, error) {
-	sc := bufio.NewScanner(r)
-	// The buffer grows from nil as lines need it, up to a 4 MiB line.
-	sc.Buffer(nil, 1<<22)
+	text, err := readText(r)
+	if err != nil {
+		return nil, err
+	}
+	tp := newTextParser(text)
 	var m *Module
 	var f *Function
-	opByID := make(map[int]*Op)
 	loopByID := make(map[int]*Loop)
 	type loopFix struct {
 		loop   *Loop
@@ -128,9 +135,14 @@ func ParseText(r io.Reader) (*Module, error) {
 	var calleeFixes []calleeFix
 	var fields []string // reused by every line
 	lineNo := 0
-	for sc.Scan() {
+	for rest := text; rest != ""; {
+		var line string
+		line, rest = nextLine(rest)
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
+		if len(line) >= maxLine {
+			return nil, fmt.Errorf("ir: line %d: longer than %d bytes", lineNo, maxLine-1)
+		}
+		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
@@ -244,17 +256,14 @@ func ParseText(r io.Reader) (*Module, error) {
 			if f == nil {
 				return nil, fmt.Errorf("ir: line %d: op outside func", lineNo)
 			}
-			o, err := parseOp(m, f, fields, opByID, loopByID)
+			o, err := tp.parseOp(m, f, fields, loopByID)
 			if err != nil {
 				return nil, fmt.Errorf("ir: line %d: %w", lineNo, err)
 			}
-			opByID[o.ID] = o
+			tp.setOp(o)
 		default:
 			return nil, fmt.Errorf("ir: line %d: unrecognized directive %q", lineNo, fields[0])
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
 	}
 	if m == nil {
 		return nil, fmt.Errorf("ir: empty input")
@@ -313,7 +322,110 @@ func ParseText(r io.Reader) (*Module, error) {
 	return m, nil
 }
 
-func parseOp(m *Module, f *Function, fields []string, opByID map[int]*Op, loopByID map[int]*Loop) (*Op, error) {
+// maxLine bounds one line of IR text: a line of maxLine bytes (4 MiB) or
+// more is an error, as it is for a bufio.Scanner with a 4 MiB buffer.
+const maxLine = 1 << 22
+
+// readText reads all of r into one string. A reader that knows how many
+// bytes it holds (strings.Reader, bytes.Reader, bytes.Buffer) fills a
+// buffer of exactly that size, once.
+func readText(r io.Reader) (string, error) {
+	var sb strings.Builder
+	if l, ok := r.(interface{ Len() int }); ok {
+		sb.Grow(l.Len())
+	}
+	if _, err := io.Copy(&sb, r); err != nil {
+		return "", err
+	}
+	return sb.String(), nil
+}
+
+// nextLine splits text at its first newline.
+func nextLine(text string) (line, rest string) {
+	if i := strings.IndexByte(text, '\n'); i >= 0 {
+		return text[:i], text[i+1:]
+	}
+	return text, ""
+}
+
+// minOpLine is the length of the shortest op line that parses, "%0 = or
+// i1"; a shorter line starting with '%' is an error, so it takes no slot.
+const minOpLine = len("%0 = or i1")
+
+// textParser holds the slabs and the op index of one ParseText call.
+type textParser struct {
+	ops      []Op      // slots not yet taken, one per op line
+	operands []Operand // entries not yet taken, one per '%' after an op's own
+	// byID[id] is the op parsed with id; IDs past len(byID), which a
+	// module with dense IDs never has, go in far.
+	byID []*Op
+	far  map[int]*Op
+}
+
+// newTextParser sizes the slabs and the index by a first pass over the
+// lines of text. Only lines of minOpLine bytes or more count, so the op
+// slab holds at most one Op for every minOpLine bytes of input.
+func newTextParser(text string) *textParser {
+	nOps, nOperands := 0, 0
+	for rest := text; rest != ""; {
+		var line string
+		line, rest = nextLine(rest)
+		if line = strings.TrimSpace(line); len(line) >= minOpLine && line[0] == '%' {
+			nOps++
+			nOperands += strings.Count(line, "%") - 1
+		}
+	}
+	return &textParser{
+		ops:      make([]Op, nOps),
+		operands: make([]Operand, nOperands),
+		byID:     make([]*Op, nOps),
+	}
+}
+
+// newOp takes the next op slot. Every line that parses as an op was
+// counted, so the fallback only serves a line that then fails.
+func (p *textParser) newOp() *Op {
+	if len(p.ops) == 0 {
+		return new(Op)
+	}
+	o := &p.ops[0]
+	p.ops = p.ops[1:]
+	return o
+}
+
+// newOperands takes room for n operands, length 0 and capacity n, so an
+// append past n reallocates instead of writing over the next op's.
+func (p *textParser) newOperands(n int) []Operand {
+	if n > len(p.operands) {
+		return make([]Operand, 0, n)
+	}
+	s := p.operands[:0:n]
+	p.operands = p.operands[n:]
+	return s
+}
+
+// op returns the op last parsed with id, or nil.
+func (p *textParser) op(id int) *Op {
+	if uint(id) < uint(len(p.byID)) {
+		return p.byID[id]
+	}
+	return p.far[id]
+}
+
+// setOp records o as the op with its ID; a later op with the same ID
+// replaces it (Validate rejects the module).
+func (p *textParser) setOp(o *Op) {
+	if uint(o.ID) < uint(len(p.byID)) {
+		p.byID[o.ID] = o
+		return
+	}
+	if p.far == nil {
+		p.far = make(map[int]*Op)
+	}
+	p.far[o.ID] = o
+}
+
+func (p *textParser) parseOp(m *Module, f *Function, fields []string, loopByID map[int]*Loop) (*Op, error) {
 	// %ID = kind ["name"] iW [mem=a] [%op[:bits]...] [@file:line] [loop=N] [replica=R/I]
 	id, err := strconv.Atoi(strings.TrimPrefix(fields[0], "%"))
 	if err != nil || id < 0 || len(fields) < 4 || fields[1] != "=" {
@@ -323,7 +435,8 @@ func parseOp(m *Module, f *Function, fields []string, opByID map[int]*Op, loopBy
 	if !kind.Valid() {
 		return nil, fmt.Errorf("unknown op kind %q", fields[2])
 	}
-	o := &Op{ID: id, Kind: kind, Func: f, ReplicaOf: -1}
+	o := p.newOp()
+	*o = Op{ID: id, Kind: kind, Func: f, ReplicaOf: -1}
 	rest := fields[3:]
 	if len(rest) == 0 || !strings.HasPrefix(rest[0], "\"") {
 		o.Name = defaultOpName(kind, id)
@@ -350,7 +463,7 @@ func parseOp(m *Module, f *Function, fields []string, opByID map[int]*Op, loopBy
 		}
 	}
 	if operands > 0 {
-		o.Operands = make([]Operand, 0, operands)
+		o.Operands = p.newOperands(operands)
 	}
 	for _, tok := range rest[1:] {
 		switch {
@@ -378,8 +491,8 @@ func parseOp(m *Module, f *Function, fields []string, opByID map[int]*Op, loopBy
 			if err != nil {
 				return nil, fmt.Errorf("bad operand %q", tok)
 			}
-			def, ok := opByID[did]
-			if !ok {
+			def := p.op(did)
+			if def == nil {
 				return nil, fmt.Errorf("operand %%%d not yet defined", did)
 			}
 			if bits < 0 {

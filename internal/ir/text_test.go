@@ -156,8 +156,9 @@ func TestAppendFieldsMatchesStringsFields(t *testing.T) {
 	}
 }
 
-// ParseText's line buffer grows from nil: a small module must not pay for
-// a preallocated megabyte.
+// ParseText reads its input into one string sized by the reader and sizes
+// its slabs by the op lines: a small module must not pay for a
+// preallocated megabyte.
 func TestParseTextSmallModuleAllocatesLittle(t *testing.T) {
 	const text = "module m\nfunc f top\n  %0 = port \"x\" i8\n"
 	const runs = 50
@@ -171,6 +172,52 @@ func TestParseTextSmallModuleAllocatesLittle(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
 		t.Fatalf("parsing a 3-line module allocated %d B, want under 64 KiB", per)
+	}
+}
+
+// TestParseTextMatchesScannerParser runs the line forms a hand-edited or
+// foreign file has through ParseText and the reference ParseTextScanner:
+// both must accept or reject each input, and write back the same text.
+// Lines of maxLine bytes or more are rejected, with or without a newline.
+func TestParseTextMatchesScannerParser(t *testing.T) {
+	const head = "module m\nfunc f top\n  %0 = port \"x\" i8\n"
+	long := func(n int) string { return "#" + strings.Repeat("x", n-1) }
+	cases := []struct {
+		name   string
+		in     string
+		accept bool
+	}{
+		{"crlf lines", "module m\r\nfunc f top\r\n  %0 = port \"x\" i8\r\n  %1 = add i8 %0 %0\r\n", true},
+		{"no final newline", head + "  %1 = not i8 %0", true},
+		{"blank and comment lines", "\n# a comment\nmodule m\n\n   \nfunc f top\n  # indented\n  %0 = port \"x\" i8\n\n", true},
+		{"ids out of line order", head + "  %7 = not i8 %0\n  %3 = add i8 %7 %0\n", true},
+		{"id past the line count", head + "  %900 = not i8 %0\n  %901 = add i8 %900 %0\n", true},
+		{"short op line", head + "  %1 = or\n", false},
+		{"longest line", head + long(maxLine-1) + "\n", true},
+		{"longest last line", head + long(maxLine-1), true},
+		{"line too long", head + long(maxLine) + "\n", false},
+		{"last line too long", head + long(maxLine), false},
+	}
+	for _, c := range cases {
+		m, err := ParseText(strings.NewReader(c.in))
+		ref, refErr := ParseTextScanner(strings.NewReader(c.in))
+		if (err == nil) != c.accept || (refErr == nil) != c.accept {
+			t.Errorf("%s: ParseText error %v, reference error %v, want accepted %v", c.name, err, refErr, c.accept)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		var got, want bytes.Buffer
+		if err := WriteText(&got, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteText(&want, ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: ParseText writes back\n%s\n--- the reference parser ---\n%s", c.name, got.Bytes(), want.Bytes())
+		}
 	}
 }
 

@@ -3,7 +3,7 @@
 # whole module (vet and gofmt reach perfbench/ too), then the steps go
 # test cannot take: benchmark and fuzz smokes, repeated race runs, and the
 # contracts that need real processes (a live congserve, the hlscong
-# dataset build at two worker counts and cut short). These 22 steps are
+# dataset build at two worker counts and cut short). These 23 steps are
 # the gate every PR must keep green (see ROADMAP.md).
 set -eu
 cd "$(dirname "$0")/.."
@@ -115,6 +115,12 @@ go test -run '^$' -fuzz 'FuzzParseText' -fuzztime 5s -fuzzminimizetime 10x ./int
 # goes through PredictModule and Hotspots. Its seeds are whole designs too.
 echo "== design query fuzz smoke (5s) =="
 go test -run '^$' -fuzz '^FuzzPredictModule$' -fuzztime 5s -fuzzminimizetime 10x ./internal/core/ > /dev/null
+
+# A design query splits its ops into one span per CPU; running the
+# PredictModule tests at 1, 2 and 4 CPUs under the race detector covers
+# every span count on any host.
+echo "== design query spans (-race -cpu 1,2,4) =="
+go test -race -cpu 1,2,4 -run 'TestPredictModule' ./internal/core
 
 # The multi-core serving contract, repeated under the race detector:
 # sharded responses byte-identical to single-shard, concurrent load spread
