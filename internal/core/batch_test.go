@@ -10,6 +10,7 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -196,8 +197,7 @@ func predictAll(t *testing.T, p *Predictor, rows [][]float64) (vert, horiz, avg 
 // TestPredictBatchIntoDedupesRepeatedRows checks that scoring each
 // distinct row once changes no answer: every row of a batch with repeats
 // must equal, bit for bit, its PredictSample answer and its answer in a
-// batch of the distinct rows alone, and the lookup must find exactly the
-// rows that are equal by bits.
+// batch of the distinct rows alone.
 func TestPredictBatchIntoDedupesRepeatedRows(t *testing.T) {
 	rows := repeatedBatch(t)
 	slot, first := distinctSlots(rows)
@@ -223,31 +223,91 @@ func TestPredictBatchIntoDedupesRepeatedRows(t *testing.T) {
 			}
 		}
 	}
+}
 
+// TestDistinctRowsMatchReference checks distinctRows against the
+// reference dedupe, distinctSlots, in both of its uses: over the caller's
+// rows, as PredictBatchInto adds them, and query-style, as PredictModule
+// adds them, each row copied into the next free row of a reused buffer
+// that is flushed whenever predictChunk distinct rows are held. The input
+// is repeatedBatch, with its −0/+0 and one-ulp pairs that share a
+// rowSample, then more distinct rows than a chunk holds, then
+// repeatedBatch again, so the query-style pass crosses a chunk boundary.
+func TestDistinctRowsMatchReference(t *testing.T) {
+	repeated := repeatedBatch(t)
 	for _, pair := range [][2]int{{64, 65}, {66, 67}} {
-		if a, b := rows[pair[0]], rows[pair[1]]; rowSample(a) != rowSample(b) {
+		if a, b := repeated[pair[0]], repeated[pair[1]]; rowSample(a) != rowSample(b) {
 			t.Fatalf("rows %d and %d differ in their sample, so the exact lookup is not exercised", pair[0], pair[1])
 		}
 	}
-	bs := batchScratchPool.New().(*batchScratch)
-	if n := bs.dedupe(rows); n != len(first) {
-		t.Fatalf("dedupe found %d distinct rows, want %d", n, len(first))
+	rows := append(slices.Clone(repeated), batchRows(predictChunk, 13)...)
+	rows = append(rows, repeated...)
+
+	// check compares d with the reference dedupe of batch, every slot and
+	// the bits of each distinct row's first occurrence, and returns the
+	// first occurrences.
+	check := func(name string, d *distinctRows, batch [][]float64) []int {
+		t.Helper()
+		slot, first := distinctSlots(batch)
+		if len(d.rows) != len(first) || len(d.slot) != len(slot) {
+			t.Fatalf("%s: %d distinct rows and %d slots, want %d and %d",
+				name, len(d.rows), len(d.slot), len(first), len(slot))
+		}
+		for k, i := range first {
+			if rowKey(d.rows[k]) != rowKey(batch[i]) {
+				t.Errorf("%s: distinct row %d is not row %d, its first occurrence", name, k, i)
+			}
+		}
+		for i, s := range d.slot {
+			if int(s) != slot[i] {
+				t.Errorf("%s: row %d: slot %d, want %d", name, i, s, slot[i])
+			}
+		}
+		return first
 	}
-	for k, i := range first {
-		if &bs.rows[k][0] != &rows[i][0] {
-			t.Errorf("distinct row %d is not row %d, its first occurrence", k, i)
+
+	d := newDistinctRows()
+	for _, row := range rows {
+		d.add(row)
+	}
+	for k, i := range check("caller rows", &d, rows) {
+		if &d.rows[k][0] != &rows[i][0] {
+			t.Errorf("caller rows: distinct row %d is not a view of row %d", k, i)
 		}
 	}
-	for i, s := range bs.slot {
-		if int(s) != slot[i] {
-			t.Errorf("row %d: slot %d, want %d", i, s, slot[i])
+
+	d.reset()
+	buf := batchRows(predictChunk, 0)
+	poison := make([]float64, features.NumFeatures)
+	for i := range poison {
+		poison[i] = math.NaN()
+	}
+	chunks, lo := 0, 0
+	for i, row := range rows {
+		free := buf[len(d.rows)]
+		copy(free, row)
+		if !d.add(free) {
+			copy(free, poison) // a repeat leaves its row free to overwrite
+			continue
 		}
+		if &d.rows[len(d.rows)-1][0] != &free[0] {
+			t.Fatalf("query-style row %d: a new row is not held in the free buffer row", i)
+		}
+		if len(d.rows) == predictChunk {
+			check(fmt.Sprintf("chunk %d", chunks), &d, rows[lo:i+1])
+			chunks, lo = chunks+1, i+1
+			d.reset()
+		}
+	}
+	check(fmt.Sprintf("chunk %d", chunks), &d, rows[lo:])
+	if chunks == 0 {
+		t.Fatalf("no chunk of %d distinct rows filled", predictChunk)
 	}
 }
 
 // TestPredictBatchIntoZeroAllocRepeats guards the serving path: once its
-// pools are warm, a batch with repeated rows allocates nothing, for every
-// model kind.
+// pools are warm, a batch with repeated rows allocates nothing, and
+// neither does PredictSample, for every model kind.
 func TestPredictBatchIntoZeroAllocRepeats(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are unstable under -race: sync.Pool randomly drops Puts")
@@ -260,9 +320,12 @@ func TestPredictBatchIntoZeroAllocRepeats(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		predict() // warm the pools
-		if n := testing.AllocsPerRun(100, predict); n != 0 {
-			t.Errorf("%s: PredictBatchInto made %v allocs per call, want 0", kind, n)
+		sample := func() { p.PredictSample(rows[0]) }
+		for name, call := range map[string]func(){"PredictBatchInto": predict, "PredictSample": sample} {
+			call() // warm the pools
+			if n := testing.AllocsPerRun(100, call); n != 0 {
+				t.Errorf("%s: %s made %v allocs per call, want 0", kind, name, n)
+			}
 		}
 	}
 }

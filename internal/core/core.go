@@ -620,47 +620,42 @@ func (p *Predictor) validateBatch(feats [][]float64) error {
 	return nil
 }
 
-// predScratch is the pooled working set of the predictor's serving path:
-// one standardized-row buffer for single samples, one flat matrix plus row
-// views for batches. Pooling (instead of per-Predictor state) keeps
-// concurrent prediction on a shared Predictor allocation-free and safe.
+// predScratch is the pooled working set of the Lasso and ANN scoring
+// path: one flat matrix of standardized rows plus its row views. Pooling
+// (instead of per-Predictor state) keeps concurrent prediction on a shared
+// Predictor allocation-free and safe.
 type predScratch struct {
-	row  []float64
 	m    ml.Matrix
 	rows [][]float64
 }
 
 var predScratchPool = sync.Pool{New: func() any { return &predScratch{} }}
 
+// distinctPool holds the distinctRows of PredictSample and
+// PredictBatchInto calls.
+var distinctPool = sync.Pool{New: func() any {
+	d := newDistinctRows()
+	return &d
+}}
+
 // PredictSample estimates all three congestion metrics for one raw feature
-// vector. Steady-state calls do not allocate.
+// vector: a one-row batch. Steady-state calls do not allocate.
 func (p *Predictor) PredictSample(feats []float64) (vert, horiz, avg float64) {
-	if p.gbrt != nil {
-		var v, h, a [1]float64
-		p.gbrt.PredictInto([][]float64{v[:], h[:], a[:]}, [][]float64{feats}, p.scaler.Mean, p.scaler.Std)
-		return v[0], h[0], a[0]
-	}
-	ps := predScratchPool.Get().(*predScratch)
-	if cap(ps.row) < len(feats) {
-		ps.row = make([]float64, len(feats))
-	}
-	row := ps.row[:len(feats)]
-	p.scaler.TransformRowInto(row, feats)
-	vert = p.models[dataset.Vertical].Predict(row)
-	horiz = p.models[dataset.Horizontal].Predict(row)
-	avg = p.models[dataset.Average].Predict(row)
-	predScratchPool.Put(ps)
+	d := distinctPool.Get().(*distinctRows)
+	d.add(feats)
+	d.score(p)
+	vert, horiz, avg = d.vert[0], d.horiz[0], d.avg[0]
+	d.reset()
+	distinctPool.Put(d)
 	return vert, horiz, avg
 }
 
 // PredictBatchInto estimates all three congestion metrics for a batch of
 // raw feature vectors, writing into the caller-owned output slices (each
-// len(feats)). Each distinct row is scored once: rows are looked up by
-// their exact float64 bits, only the first occurrence of a row is
-// evaluated, and every repeat copies its answers. HLS designs repeat their
-// ops, so served batches of real design rows are about half repeats. A
-// batch with no repeat is evaluated in place. Every model predicts each
-// row on its own, so values are identical to PredictSample per row.
+// len(feats)). Each distinct row is scored once (see distinctRows) and
+// every repeat copies its answers. HLS designs repeat their ops, so served
+// batches of real design rows are about half repeats. Every model predicts
+// each row on its own, so values are identical to PredictSample per row.
 // Steady-state calls do not allocate.
 //
 // Every row must have exactly NumFeatures entries; a ragged or mis-sized
@@ -674,29 +669,18 @@ func (p *Predictor) PredictBatchInto(vert, horiz, avg []float64, feats [][]float
 	if err := p.validateBatch(feats); err != nil {
 		return err
 	}
-	if len(feats) < 2 {
-		p.evaluate(vert, horiz, avg, feats)
-		return nil
+	d := distinctPool.Get().(*distinctRows)
+	for _, row := range feats {
+		d.add(row)
 	}
-	bs := batchScratchPool.Get().(*batchScratch)
-	if n := bs.dedupe(feats); n < len(feats) {
-		if cap(bs.vert) < n {
-			bs.vert, bs.horiz, bs.avg = make([]float64, n), make([]float64, n), make([]float64, n)
-		}
-		v, h, a := bs.vert[:n], bs.horiz[:n], bs.avg[:n]
-		p.evaluate(v, h, a, bs.rows)
-		for i, s := range bs.slot {
-			vert[i], horiz[i], avg[i] = v[s], h[s], a[s]
-		}
-	} else {
-		p.evaluate(vert, horiz, avg, feats)
+	d.score(p)
+	for i, s := range d.slot {
+		vert[i], horiz[i], avg[i] = d.vert[s], d.horiz[s], d.avg[s]
 	}
-	// The lookup's keys and the row views alias the caller's rows: none
-	// may outlive the call.
-	clear(bs.firsts)
-	clear(bs.slots)
-	clear(bs.rows)
-	batchScratchPool.Put(bs)
+	// The lookup's keys and the row views alias the caller's rows: reset
+	// drops them before the scratch goes back to the pool.
+	d.reset()
+	distinctPool.Put(d)
 	return nil
 }
 
@@ -732,24 +716,19 @@ type OpPrediction struct {
 // takes no new row.
 const predictChunk = 256
 
-// queryScratch is the working set of one predictOps call, kept on the
-// Predictor for the next call: the chunk of distinct rows, their
-// predictions, the row lookup and one slot index per op. Nothing in it
-// outlives a call's answer; every entry a call reads it has written.
+// queryScratch is the working set of one predictSpan call, kept on the
+// Predictor for the next call: the buffer of predictChunk rows the span's
+// ops are extracted into, and the distinct rows held among them. Nothing
+// in it outlives a call's answer; every entry a call reads it has written.
 type queryScratch struct {
-	rows             [][]float64
-	vert, horiz, avg []float64
-	slots            rowSlots
-	opSlot           []int32
+	buf [][]float64
+	distinctRows
 }
 
 func newQueryScratch() *queryScratch {
 	return &queryScratch{
-		rows:  ml.NewMatrix(predictChunk, features.NumFeatures).RowViews(nil),
-		vert:  make([]float64, predictChunk),
-		horiz: make([]float64, predictChunk),
-		avg:   make([]float64, predictChunk),
-		slots: make(rowSlots, predictChunk),
+		buf:          ml.NewMatrix(predictChunk, features.NumFeatures).RowViews(nil),
+		distinctRows: newDistinctRows(),
 	}
 }
 
@@ -788,7 +767,8 @@ func querySpans(n int) int {
 // per row, so the answers equal those of one batch over every op,
 // whatever the span count. The Predictor keeps each span's buffer for its
 // next query; concurrent queries are safe, each beyond the first working
-// in buffers of its own. The first error in span order is returned.
+// in buffers of its own. A predictor whose feature width is not the
+// extractor's is refused with a *BatchShapeError before any op is scored.
 func (p *Predictor) PredictModule(m *ir.Module, cfg flow.Config) ([]OpPrediction, error) {
 	ex, err := moduleExtractor(m, cfg)
 	if err != nil {
@@ -817,29 +797,29 @@ func (p *Predictor) predictOps(ex *features.Extractor, ops []*ir.Op, spans int) 
 	if len(ops) == 0 {
 		return nil, 0, nil
 	}
+	if want := p.NumFeatures(); want != features.NumFeatures {
+		// The extractor emits fixed-width vectors, so a shape error here
+		// means the predictor artifact and the library's feature layout
+		// have drifted apart.
+		return nil, 0, fmt.Errorf("core: predict: %w", &BatchShapeError{Row: 0, Got: features.NumFeatures, Want: want})
+	}
 	spans = min(spans, maxQuerySpans, len(ops))
 	out := make([]OpPrediction, len(ops))
 	if spans <= 1 {
-		rows, err := p.predictSpan(0, ex, ops, out)
-		if err != nil {
-			return nil, 0, err
-		}
-		return out, rows, nil
+		return out, p.predictSpan(0, ex, ops, out), nil
 	}
-	rows, errs, _ := parallel.Map(context.TODO(), spans, spans, func(_ context.Context, i int) (int, error) {
+	// A span returns no error, so Map's errors are all nil.
+	rows, _, _ := parallel.Map(context.TODO(), spans, spans, func(_ context.Context, i int) (int, error) {
 		lo, hi := i*len(ops)/spans, (i+1)*len(ops)/spans
 		sx := ex
 		if i > 0 {
 			sx = ex.Fork()
 		}
-		return p.predictSpan(i, sx, ops[lo:hi], out[lo:hi])
+		return p.predictSpan(i, sx, ops[lo:hi], out[lo:hi]), nil
 	})
 	evaluated := 0
-	for i, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-		evaluated += rows[i]
+	for _, n := range rows {
+		evaluated += n
 	}
 	return out, evaluated, nil
 }
@@ -848,95 +828,64 @@ func (p *Predictor) predictOps(ex *features.Extractor, ops []*ir.Op, spans int) 
 // chunk once, and returns how many rows it evaluated. It works in the
 // queryScratch cached in the Predictor's slot for the span when no other
 // call holds it, and in a fresh one otherwise.
-func (p *Predictor) predictSpan(slot int, ex *features.Extractor, ops []*ir.Op, out []OpPrediction) (int, error) {
+func (p *Predictor) predictSpan(slot int, ex *features.Extractor, ops []*ir.Op, out []OpPrediction) int {
 	cache := &p.query[slot]
 	sc := cache.Swap(nil)
 	if sc == nil {
 		sc = newQueryScratch()
 	}
 	defer cache.Store(sc)
-	// A call that returns early leaves rows in the lookup; the next call
-	// must start from an empty one.
-	clear(sc.slots)
-	if cap(sc.opSlot) < len(ops) {
-		sc.opSlot = make([]int32, len(ops))
+	d := &sc.distinctRows
+	// A call that panicked leaves rows in the lookup; the next call must
+	// start from an empty one.
+	d.reset()
+	// ops[done:] are the ops not yet answered; the i-th of them reads its
+	// answer from slot d.slot[i] once the held rows are scored.
+	done, evaluated := 0, 0
+	flush := func() {
+		d.score(p)
+		for i, s := range d.slot {
+			out[done+i] = OpPrediction{Op: ops[done+i], VertPct: d.vert[s], HorizPct: d.horiz[s], AvgPct: d.avg[s]}
+		}
+		evaluated += len(d.rows)
+		done += len(d.slot)
+		d.reset()
 	}
-	rows, vert, horiz, avg, slots := sc.rows, sc.vert, sc.horiz, sc.avg, sc.slots
-	opSlot := sc.opSlot[:len(ops)]
-	// rows[:used] are the chunk's distinct rows; ops[done:] are the ops not
-	// yet answered, each reading its row from rows[opSlot[i]].
-	used, done, evaluated := 0, 0, 0
-	flush := func(end int) error {
-		if err := p.validateBatch(rows[:used]); err != nil {
-			// The extractor emits fixed-width vectors, so a shape error here
-			// means the predictor artifact and the library's feature layout
-			// have drifted apart.
-			return fmt.Errorf("core: predict: %w", err)
-		}
-		// The chunk's rows are already distinct: score them without a
-		// second lookup.
-		p.evaluate(vert[:used], horiz[:used], avg[:used], rows[:used])
-		for i := done; i < end; i++ {
-			s := opSlot[i]
-			out[i] = OpPrediction{Op: ops[i], VertPct: vert[s], HorizPct: horiz[s], AvgPct: avg[s]}
-		}
-		evaluated += used
-		used, done = 0, end
-		clear(slots)
-		return nil
-	}
-	for i, o := range ops {
-		ex.VectorInto(rows[used], o)
-		s := slots.slot(rows, used)
-		opSlot[i] = int32(s)
-		if s < used {
-			continue // a repeated row: rows[used] is free for the next op
-		}
-		if used++; used == predictChunk {
-			if err := flush(i + 1); err != nil {
-				return 0, err
-			}
+	for _, o := range ops {
+		// buf[len(d.rows)] is the next free row: a repeat leaves it free
+		// for the next op.
+		row := sc.buf[len(d.rows)]
+		ex.VectorInto(row, o)
+		if d.add(row) && len(d.rows) == predictChunk {
+			flush()
 		}
 	}
 	if done < len(ops) {
-		if err := flush(len(ops)); err != nil {
-			return 0, err
-		}
+		flush()
 	}
-	return evaluated, nil
+	return evaluated
 }
 
-// rowSlots finds the slot that already holds a feature row: in
-// PredictModule's chunk buffer, or among the distinct rows of a
-// PredictBatchInto batch. Rows match on their exact float64 bits, not on
-// ==, so −0 and +0, or two NaN payloads, never share a slot: a shared slot
-// always holds the very row the op would have been predicted from.
+// distinctRows gathers the distinct rows of a batch, in first-occurrence
+// order, for PredictSample, PredictBatchInto and each span of
+// PredictModule: rows holds views of the distinct rows, slot the index
+// among them of every row added, and score fills vert, horiz and avg with
+// the distinct rows' predictions, through which a caller scatters its
+// answers.
 //
-// The keys are the rows' bytes viewed in place (rowKey), so the map
-// hashes and compares whole rows without copying them. A key aliases its
-// row, which must not change while the key is in the map: PredictModule
-// only writes a buffer row while it is the free slot and clears the map
-// before the buffer is refilled, and PredictBatchInto clears it before
-// it returns.
-type rowSlots map[string]int32
-
-// slot returns the slot s < k whose row has the bits of rows[k], or else k
-// itself, which it then records as the slot holding that row.
-func (rs rowSlots) slot(rows [][]float64, k int) int {
-	key := rowKey(rows[k])
-	if s, ok := rs[key]; ok {
-		return int(s)
-	}
-	rs[key] = int32(k)
-	return k
-}
-
-// batchScratch is PredictBatchInto's pooled working set for finding a
-// batch's distinct rows: the lookup by sample and the exact lookup, the
-// distinct rows (views of the caller's rows, in first-occurrence order),
-// the index among them of each batch row, and the distinct rows'
-// predictions.
-type batchScratch struct {
+// Rows match on their exact float64 bits (see rowSlots). Looking up every
+// row in slots would hash all 2,416 bytes of a new row twice, once to look
+// it up and once to insert it; on 64 distinct rows and the 25-tree quick
+// GBRT that was 8% of a batch call. So a row is first looked up by its
+// rowSample in firsts: a row whose sample no earlier row has is new, and is
+// recorded in firsts alone. Only a row whose sample was seen before goes
+// through slots, together with the first row that had the sample, which
+// firsts then marks −1 as already there.
+//
+// The keys alias the added rows, which must not change until reset: a
+// PredictBatchInto caller's rows are held for the call, and PredictModule
+// writes a buffer row only while it is the free one past rows.
+type distinctRows struct {
 	firsts           map[uint64]int32
 	slots            rowSlots
 	rows             [][]float64
@@ -944,47 +893,72 @@ type batchScratch struct {
 	vert, horiz, avg []float64
 }
 
-var batchScratchPool = sync.Pool{New: func() any {
-	return &batchScratch{firsts: make(map[uint64]int32), slots: make(rowSlots)}
-}}
+func newDistinctRows() distinctRows {
+	return distinctRows{firsts: make(map[uint64]int32), slots: make(rowSlots)}
+}
 
-// dedupe gathers the distinct rows of feats into bs.rows and the index of
-// each row's first occurrence among them into bs.slot, and returns how
-// many rows are distinct.
-//
-// rowSlots hashes all 2,416 bytes of a new row twice, once to look it up
-// and once to insert it; on 64 distinct rows and the 25-tree quick GBRT
-// that was 8% of the call. So a row is first looked up by its rowSample:
-// a row whose sample no earlier row has is new, and is recorded in firsts
-// alone. Only a row whose sample was seen before goes through rowSlots,
-// together with the first row that had the sample, which firsts then
-// marks −1 as already there.
-func (bs *batchScratch) dedupe(feats [][]float64) int {
-	if cap(bs.slot) < len(feats) {
-		bs.slot = make([]int32, len(feats))
-	}
-	bs.slot = bs.slot[:len(feats)]
-	bs.rows = bs.rows[:0]
-	for i, row := range feats {
-		k := len(bs.rows)
-		bs.rows = append(bs.rows, row)
-		bs.slot[i] = int32(k)
-		sample := rowSample(row)
-		f, ok := bs.firsts[sample]
-		if !ok {
-			bs.firsts[sample] = int32(k)
-			continue
-		}
+// add records row's slot and reports whether row is new, in which case it
+// becomes the last of d.rows; a repeat leaves d.rows as it was.
+func (d *distinctRows) add(row []float64) (isNew bool) {
+	k := int32(len(d.rows))
+	s := k
+	sample := rowSample(row)
+	if f, ok := d.firsts[sample]; !ok {
+		d.firsts[sample] = k
+	} else {
 		if f >= 0 {
-			bs.slots[rowKey(bs.rows[f])] = f
-			bs.firsts[sample] = -1
+			d.slots[rowKey(d.rows[f])] = f
+			d.firsts[sample] = -1
 		}
-		if s := bs.slots.slot(bs.rows, k); s < k {
-			bs.slot[i] = int32(s)
-			bs.rows = bs.rows[:k] // a repeat: its first occurrence answers it
-		}
+		s = d.slots.slot(row, k)
 	}
-	return len(bs.rows)
+	d.slot = append(d.slot, s)
+	if s < k {
+		return false // a repeat: its first occurrence answers it
+	}
+	d.rows = append(d.rows, row)
+	return true
+}
+
+// score predicts each distinct row once into d.vert, d.horiz and d.avg.
+func (d *distinctRows) score(p *Predictor) {
+	n := len(d.rows)
+	if cap(d.vert) < n {
+		d.vert, d.horiz, d.avg = make([]float64, n), make([]float64, n), make([]float64, n)
+	}
+	d.vert, d.horiz, d.avg = d.vert[:n], d.horiz[:n], d.avg[:n]
+	p.evaluate(d.vert, d.horiz, d.avg, d.rows)
+}
+
+// reset empties d for the next batch, keeping its capacity; it drops every
+// key and view of the rows added.
+func (d *distinctRows) reset() {
+	clear(d.firsts)
+	clear(d.slots)
+	clear(d.rows)
+	d.rows = d.rows[:0]
+	d.slot = d.slot[:0]
+}
+
+// rowSlots finds the slot that already holds a feature row among the
+// distinct rows of a batch. Rows match on their exact float64 bits, not on
+// ==, so −0 and +0, or two NaN payloads, never share a slot: a shared slot
+// always holds the very row the op would have been predicted from.
+//
+// The keys are the rows' bytes viewed in place (rowKey), so the map
+// hashes and compares whole rows without copying them. A key aliases its
+// row, which must not change while the key is in the map.
+type rowSlots map[string]int32
+
+// slot returns the slot already holding a row with the bits of row, or
+// else k, which it then records as the slot holding row.
+func (rs rowSlots) slot(row []float64, k int32) int32 {
+	key := rowKey(row)
+	if s, ok := rs[key]; ok {
+		return s
+	}
+	rs[key] = k
+	return k
 }
 
 // rowSample folds the bits of every 19th entry of row, 16 of a

@@ -164,13 +164,13 @@ func TestRowSlotsMatchExactBits(t *testing.T) {
 	}
 	want := []int{0, 1, 2, 3, 0, 2, 1}
 	rs := make(rowSlots)
-	for k := range rows {
-		if got := rs.slot(rows, k); got != want[k] {
-			t.Errorf("row %d %v: slot %d, want %d", k, rows[k], got, want[k])
+	for k, row := range rows {
+		if got := rs.slot(row, int32(k)); int(got) != want[k] {
+			t.Errorf("row %d %v: slot %d, want %d", k, row, got, want[k])
 		}
 	}
 	clear(rs)
-	if got := rs.slot(rows, 4); got != 4 {
+	if got := rs.slot(rows[4], 4); got != 4 {
 		t.Errorf("after clear: slot %d, want the row's own 4", got)
 	}
 }

@@ -24,20 +24,21 @@ func requireZeroAllocs(t *testing.T, name string, fn func()) {
 	}
 }
 
-// zeroAllocServer disables the coalescing window: with one closed-loop
-// caller the batcher takes the queued job immediately, so the measurement
-// sees the full predict path without timer sleeps. (The timer itself is
-// reused and measured allocation-free by the windowed benchmark.)
+// zeroAllocServer is a default server: with one closed-loop caller every
+// admitted request is already queued (allQueued), so the batcher flushes
+// at once and the measurement sees the full predict path without timer
+// sleeps. (The timer itself is reused and measured allocation-free by
+// TestServeBytesZeroAllocWindowed.)
 func zeroAllocServer(t *testing.T) *Server {
 	t.Helper()
-	return newTestServer(t, Options{Window: -1})
+	return newTestServer(t, Options{})
 }
 
 func TestServeBytesZeroAllocSharded(t *testing.T) {
 	// The sharded admission path — affinity hint, per-shard semaphore,
 	// per-shard batcher — must stay allocation-free too: the zero-alloc
 	// guarantee survives scale-out.
-	s := newTestServer(t, Options{Window: -1, shards: 4})
+	s := newTestServer(t, Options{shards: 4})
 	req := binaryRequest(randRows(32, 41))
 	var dst []byte
 	requireZeroAllocs(t, "ServeBytes/sharded", func() {
@@ -103,7 +104,7 @@ func TestServeBytesZeroAllocWithRecorder(t *testing.T) {
 	// around the measurement, not concurrently, because AllocsPerRun counts
 	// mallocs process-wide and a background sampler would pollute it.
 	o := obs.New()
-	s := newTestServer(t, Options{Window: -1, shards: 2, Obs: o})
+	s := newTestServer(t, Options{shards: 2, Obs: o})
 	rec := obs.NewRecorder(o.Metrics(), obs.RecorderOptions{Capacity: 16})
 	o.Rec = rec
 	req := binaryRequest(randRows(32, 53))
@@ -161,7 +162,7 @@ func TestServeBytesZeroAllocRepeats(t *testing.T) {
 			if !tc.binary {
 				req = jsonRequest(t, rows)
 			}
-			opts := Options{Window: -1, shards: tc.shards}
+			opts := Options{shards: tc.shards}
 			if tc.shards == 1 {
 				// As in TestServeBytesZeroAllocWindowed: a phantom admission
 				// slot makes the batcher wait out the window.
@@ -188,7 +189,7 @@ func TestShedPathZeroAlloc(t *testing.T) {
 	// Rejections must be even cheaper than service: the 429 path cannot
 	// allocate, or overload would cause collection pressure exactly when
 	// the server can least afford it.
-	s := newTestServer(t, Options{Window: -1, shards: 1, MaxInflight: 1})
+	s := newTestServer(t, Options{shards: 1, MaxInflight: 1})
 	s.shards[0].sem <- struct{}{} // the one slot is taken: everything else sheds
 	defer func() { <-s.shards[0].sem }()
 	req := binaryRequest(randRows(1, 37))

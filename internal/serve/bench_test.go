@@ -56,7 +56,7 @@ func benchServer(b *testing.B, opts Options) *Server {
 }
 
 func benchServeBytes(b *testing.B, rows int, binary bool) {
-	s := benchServer(b, Options{Window: -1})
+	s := benchServer(b, Options{})
 	var req []byte
 	if binary {
 		req = binaryRequest(randRows(rows, int64(rows)))

@@ -102,47 +102,29 @@ func (sh *shard) batchLoop() {
 		pending = append(pending[:0], j)
 		n := j.m.Rows
 		if n < opts.MaxBatch && !sh.allQueued(len(pending)) {
-			if opts.Window > 0 {
-				// Windowed collection: wait up to Window for companions.
-				timer.Reset(opts.Window)
-				fired := false
-			collect:
-				for n < opts.MaxBatch {
-					select {
-					case j2, ok2 := <-sh.submit:
-						if !ok2 {
-							open = false
-							break collect
-						}
-						pending = append(pending, j2)
-						n += j2.m.Rows
-						if sh.allQueued(len(pending)) {
-							break collect
-						}
-					case <-timer.C:
-						fired = true
+			// Wait up to Window for companions.
+			timer.Reset(opts.Window)
+			fired := false
+		collect:
+			for n < opts.MaxBatch {
+				select {
+				case j2, ok2 := <-sh.submit:
+					if !ok2 {
+						open = false
 						break collect
 					}
-				}
-				if !fired && !timer.Stop() {
-					<-timer.C
-				}
-			} else {
-				// No window: greedily take whatever is already queued.
-			greedy:
-				for n < opts.MaxBatch {
-					select {
-					case j2, ok2 := <-sh.submit:
-						if !ok2 {
-							open = false
-							break greedy
-						}
-						pending = append(pending, j2)
-						n += j2.m.Rows
-					default:
-						break greedy
+					pending = append(pending, j2)
+					n += j2.m.Rows
+					if sh.allQueued(len(pending)) {
+						break collect
 					}
+				case <-timer.C:
+					fired = true
+					break collect
 				}
+			}
+			if !fired && !timer.Stop() {
+				<-timer.C
 			}
 		}
 		rows, vert, horiz, avg = sh.flush(pending, rows, vert, horiz, avg)
@@ -163,10 +145,9 @@ func (sh *shard) batchLoop() {
 // time instead of near the timer's firing slop.
 func (sh *shard) allQueued(pending int) bool { return pending >= len(sh.sem) }
 
-// flush scores one coalesced batch and wakes every waiting job. The
-// single-job case predicts straight into the job's own output slices; a
-// multi-job batch gathers the row views, predicts once into the shard's
-// batch outputs, and scatters each job's segment back. The model pointer
+// flush scores one coalesced batch and wakes every waiting job: it
+// gathers the jobs' row views, predicts once into the shard's batch
+// outputs, and scatters each job's segment back. The model pointer
 // is loaded exactly once per flush, so every row of a batch — whatever
 // requests it coalesced — is scored by one generation. The scratch slices
 // are threaded through and returned so the loop reuses their capacity.
@@ -185,15 +166,6 @@ func (sh *shard) flush(pending []*job, rows [][]float64, vert, horiz, avg []floa
 			j.err = ErrNoModel
 			j.done <- struct{}{}
 		}
-		return rows, vert, horiz, avg
-	}
-	if len(pending) == 1 {
-		j := pending[0]
-		j.err = predictGuarded(mdl.Pred, j.vert, j.horiz, j.avg, j.rows)
-		if j.err == nil {
-			met.predictions.Add(int64(total))
-		}
-		j.done <- struct{}{}
 		return rows, vert, horiz, avg
 	}
 	rows = rows[:0]

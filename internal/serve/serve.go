@@ -10,19 +10,21 @@
 //     admit, decode, coalesce, predict, encode — without allocating.
 //   - Cross-request micro-batch coalescing: pending predictions are
 //     collected for a bounded window (Options.Window, a few hundred µs)
-//     or until a row cap (Options.MaxBatch), then scored with ONE
-//     zero-alloc core.Predictor.PredictBatchInto call. Batch-of-batches
+//     or until a row cap (Options.MaxBatch), then gathered, scored with
+//     ONE zero-alloc core.Predictor.PredictBatchInto call and scattered
+//     back — a lone request is gathered like many. Batch-of-batches
 //     beats per-request predict because the scaler and the compiled
 //     GBRT trees amortize their setup and stay hot in cache across the
 //     whole batch. The batcher also flushes early the moment every
 //     admitted request is already in the batch (the admission semaphore
 //     proves no companion can arrive), so closed-loop clients never pay
 //     the window — only genuinely concurrent traffic does.
-//   - Repeated rows are scored once: PredictBatchInto looks each row of
-//     the batch up by its exact float64 bits and evaluates only the first
-//     occurrence of each, and every repeat copies that answer. Real design
-//     rows are about half repeats, and since a coalesced batch is one
-//     call, a row repeated across requests is scored once too.
+//   - Repeated rows are scored once: PredictBatchInto gathers the
+//     batch's distinct rows by their exact float64 bits, through the same
+//     distinct-row set a design query uses, evaluates each once, and every
+//     repeat copies its answer. Real design rows are about half repeats,
+//     and since a coalesced batch is one call, a row repeated across
+//     requests is scored once too.
 //   - Multi-core scale-out: the server runs one independent batcher
 //     shard (lane) per GOMAXPROCS, each owning its own admission
 //     semaphore, submit queue, window timer and batch scratch. A request
@@ -83,9 +85,8 @@ type Options struct {
 	// MaxBatch caps the rows of one coalesced batch (default 256).
 	MaxBatch int
 	// Window is how long a shard's batcher holds an open batch waiting
-	// for companions. The zero value selects the default 200µs; a
-	// negative value means "never wait" — a batch still coalesces
-	// whatever is already queued, but closes immediately.
+	// for companions (default 200µs). A batch closes sooner once every
+	// request admitted on its shard is in it.
 	Window time.Duration
 	// MaxInflight is the total admission cap across all shards: requests
 	// beyond it are shed with 429 (default 4×GOMAXPROCS, min 16). It is
@@ -107,11 +108,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 256
 	}
-	if o.Window == 0 {
+	if o.Window <= 0 {
 		o.Window = 200 * time.Microsecond
-	}
-	if o.Window < 0 {
-		o.Window = 0
 	}
 	if o.shards <= 0 {
 		o.shards = runtime.GOMAXPROCS(0)

@@ -155,7 +155,7 @@ func decodeF64Response(t testing.TB, b []byte) (vert, horiz, avg []float64) {
 }
 
 func TestServeBytesMatchesPredictSample(t *testing.T) {
-	s := newTestServer(t, Options{Window: -1})
+	s := newTestServer(t, Options{})
 	rows := randRows(9, 3)
 	p := testPredictor(t)
 
@@ -292,7 +292,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 }
 
 func TestBatchShapeRejectedPerRequest(t *testing.T) {
-	s := newTestServer(t, Options{Window: -1})
+	s := newTestServer(t, Options{})
 
 	// Wrong width: typed shape error names both widths.
 	narrow := [][]float64{make([]float64, 7)}
@@ -313,7 +313,7 @@ func TestBatchShapeRejectedPerRequest(t *testing.T) {
 }
 
 func TestNoModelAndEmptyBatch(t *testing.T) {
-	s := New(Options{Window: -1})
+	s := New(Options{})
 	t.Cleanup(func() { s.Stop(context.Background()) })
 	_, err := s.ServeBytes(binaryRequest(randRows(1, 1)), true, nil)
 	if !errors.Is(err, ErrNoModel) {
@@ -333,7 +333,7 @@ func TestHotReloadAtomicity(t *testing.T) {
 	dir := t.TempDir()
 	path := saveTestModel(t, dir, "model.json")
 	o := obs.New()
-	s := New(Options{Window: -1, Obs: o})
+	s := New(Options{Obs: o})
 	t.Cleanup(func() { s.Stop(context.Background()) })
 	if _, err := s.LoadModel(path); err != nil {
 		t.Fatalf("loading model: %v", err)
@@ -468,7 +468,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	dir := t.TempDir()
 	path := saveTestModel(t, dir, "model.json")
 	o := obs.New()
-	s := New(Options{Window: -1, Obs: o})
+	s := New(Options{Obs: o})
 	t.Cleanup(func() { s.Stop(context.Background()) })
 	if _, err := s.LoadModel(path); err != nil {
 		t.Fatalf("loading model: %v", err)

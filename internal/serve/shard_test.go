@@ -23,7 +23,7 @@ import (
 // rows share a batch, never what a row scores. Both codecs are checked;
 // the JSON case is the in-process twin of the curl probe in check.sh.
 func TestShardedPredictionsMatchSingleShard(t *testing.T) {
-	single := newTestServer(t, Options{Window: -1, shards: 1})
+	single := newTestServer(t, Options{shards: 1})
 	sharded := newTestServer(t, Options{Window: 100 * time.Microsecond, shards: 4})
 	for seed := int64(0); seed < 8; seed++ {
 		for _, rows := range []int{1, 7, 64} {
@@ -150,7 +150,7 @@ func TestInflightGaugeTracksAdmitted(t *testing.T) {
 // (ErrShed), never a hang, and the shed counter must count every one.
 func TestAllShardsSaturatedSheds(t *testing.T) {
 	o := obs.New()
-	s := newTestServer(t, Options{Window: -1, shards: 4, MaxInflight: 4, Obs: o})
+	s := newTestServer(t, Options{shards: 4, MaxInflight: 4, Obs: o})
 	// One slot per shard; hold all four — the state four stuck in-flight
 	// requests produce.
 	for _, sh := range s.shards {
@@ -195,7 +195,7 @@ func TestAllShardsSaturatedSheds(t *testing.T) {
 // lane, each batch waiting out the window for the other's request while
 // the second lane idles.
 func TestAdmitPrefersIdleShard(t *testing.T) {
-	s := newTestServer(t, Options{Window: -1, shards: 3, MaxInflight: 6})
+	s := newTestServer(t, Options{shards: 3, MaxInflight: 6})
 	// Every slot taken below is given back before Stop, which waits for
 	// all of them; this cleanup runs first, as it is registered last.
 	var held []int

@@ -118,9 +118,11 @@ go test -run '^$' -fuzz '^FuzzPredictModule$' -fuzztime 5s -fuzzminimizetime 10x
 
 # A design query splits its ops into one span per CPU; running the
 # PredictModule tests at 1, 2 and 4 CPUs under the race detector covers
-# every span count on any host.
+# every span count on any host. The batch tests and the distinct-row
+# tests run with them: PredictModule's spans and PredictBatchInto find
+# their distinct rows through one type.
 echo "== design query spans (-race -cpu 1,2,4) =="
-go test -race -cpu 1,2,4 -run 'TestPredictModule' ./internal/core
+go test -race -cpu 1,2,4 -run 'TestPredictModule|TestPredictBatchInto|TestDistinctRows' ./internal/core
 
 # The multi-core serving contract, repeated under the race detector:
 # sharded responses byte-identical to single-shard, concurrent load spread
